@@ -3,23 +3,20 @@
 ///
 /// Builds class stores, starts in-process ServeServers on loopback TCP
 /// ports, and measures three phases at a fleet of client counts (default
-/// 1/2/4/8/16):
+/// 1/2/4/8/16), every client speaking protocol v2 frames:
 ///
-///   * read_mostly        — every client streams batched mlookup requests
-///                          over a warm single-width store: the fleet
-///                          fan-out workload. Ids are checked bit-identical
-///                          to direct in-process lookups.
-///   * read_mostly_v2     — the identical workload as protocol v2 binary
-///                          lookup frames against the same server; the
-///                          `v2_over_v1` ratio in the JSON is the headline
-///                          framing win (target >= 4x single-client).
-///   * append_heavy       — an append_on_miss server; every client streams
-///                          its own run of mostly-novel random functions,
-///                          driving the live-classify + memtable append
-///                          path and the session-exit delta flushes.
+///   * read_mostly_v2     — every client streams batched lookup frames over
+///                          a warm single-width store: the fleet fan-out
+///                          workload. Ids are checked bit-identical to
+///                          direct in-process lookups.
+///   * append_heavy       — every client streams append frames of its own
+///                          run of mostly-novel random functions, then
+///                          quits: the live-classify + memtable append path
+///                          and the session-exit delta flushes.
 ///   * mixed_width_router — a StoreRouter serving three widths; every
-///                          client interleaves operands of all widths, so
-///                          the per-width store gates stripe the traffic.
+///                          client interleaves operands of all widths, one
+///                          lookup frame per width in each batch, so the
+///                          per-width store gates stripe the traffic.
 ///
 /// Each phase reports lookups/s per client count plus `scaling` — fleet
 /// throughput over the same phase's single-client throughput. With the
@@ -38,11 +35,9 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <istream>
+#include <map>
 #include <memory>
-#include <ostream>
 #include <random>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -53,114 +48,53 @@ namespace {
 
 using namespace facet;
 
-/// One client pass: streams `hex` in mlookup batches over a fresh
-/// connection; checks ids against `expected` when given, otherwise only
-/// response shape. Each batch's round-trip (write through last response
-/// read) records into `latency` — shared lock-free across the fleet's
-/// clients, so the phase can report client-observed p50/p99. Returns
-/// answered lookups.
-std::size_t run_client(std::uint16_t port, const std::vector<std::string>& hex,
+/// One client pass over a fresh connection: streams `funcs` as `verb`
+/// frames — each batch of up to `batch` operands sends one frame per width
+/// it holds — then quits. Checks every record against `expected` when
+/// given, otherwise only that it is no miss. Each batch's round trips
+/// record into `latency` — shared lock-free across the fleet's clients, so
+/// the phase can report client-observed p50/p99. Returns answered
+/// operands.
+std::size_t run_client(std::uint16_t port, FrameVerb verb, const std::vector<TruthTable>& funcs,
                        const std::vector<std::uint32_t>* expected, std::size_t batch,
                        std::atomic<std::size_t>& mismatches, obs::LatencyHistogram& latency)
 {
-  Socket socket = connect_tcp({"127.0.0.1", port});
-  FdStreamBuf buf{socket.fd()};
-  std::ostream out{&buf};
-  std::istream in{&buf};
-
+  const Socket socket = connect_tcp({"127.0.0.1", port});
   std::size_t answered = 0;
-  std::string line;
-  for (std::size_t start = 0; start < hex.size(); start += batch) {
-    const std::size_t end = std::min(start + batch, hex.size());
-    const std::uint64_t t0 = now_ns();
-    out << "mlookup";
-    for (std::size_t i = start; i < end; ++i) {
-      out << ' ' << hex[i];
-    }
-    out << '\n' << std::flush;
-    for (std::size_t i = start; i < end; ++i) {
-      if (!std::getline(in, line)) {
-        ++mismatches;
-        return answered;
-      }
-      if (line.rfind("ok id=", 0) != 0 ||
-          (expected != nullptr && std::stoul(line.substr(6)) != (*expected)[i])) {
-        ++mismatches;
-      }
-      ++answered;
-    }
-    latency.record_ns(now_ns() - t0);
-  }
-  out << "quit\n" << std::flush;
-  return answered;
-}
-
-/// One client pass over protocol v2: the same workload as run_client, but
-/// as binary lookup frames — one frame per batch, one framed record array
-/// back — instead of mlookup text lines. Same round-trip latency bookkeeping,
-/// so the v1 and v2 phases are directly comparable.
-std::size_t run_client_v2(std::uint16_t port, const std::vector<TruthTable>& funcs,
-                          const std::vector<std::uint32_t>* expected, std::size_t batch,
-                          std::atomic<std::size_t>& mismatches, obs::LatencyHistogram& latency)
-{
-  Socket socket = connect_tcp({"127.0.0.1", port});
-  FdStreamBuf buf{socket.fd()};
-  std::ostream out{&buf};
-  std::istream in{&buf};
-  const int width = funcs.empty() ? 0 : funcs.front().num_vars();
-
-  std::size_t answered = 0;
-  std::string request;
-  std::string head(kFrameHeaderBytes, '\0');
-  std::string payload;
   for (std::size_t start = 0; start < funcs.size(); start += batch) {
     const std::size_t end = std::min(start + batch, funcs.size());
     const std::uint64_t t0 = now_ns();
-
-    FrameHeader header;
-    header.magic = kFrameRequestMagic;
-    header.verb = static_cast<std::uint8_t>(FrameVerb::kLookup);
-    header.aux = static_cast<std::uint8_t>(width);
-    header.payload_bytes =
-        static_cast<std::uint32_t>(4 + (end - start) * frame_operand_bytes(width));
-    request.clear();
-    encode_header(request, header);
-    append_u32(request, static_cast<std::uint32_t>(end - start));
+    std::map<int, std::vector<std::size_t>> by_width;
     for (std::size_t i = start; i < end; ++i) {
-      encode_operand(request, funcs[i]);
+      by_width[funcs[i].num_vars()].push_back(i);
     }
-    out.write(request.data(), static_cast<std::streamsize>(request.size()));
-    out.flush();
-
-    if (!in.read(head.data(), static_cast<std::streamsize>(head.size()))) {
-      ++mismatches;
-      return answered;
-    }
-    const FrameHeader response =
-        decode_header(reinterpret_cast<const unsigned char*>(head.data()));
-    payload.resize(response.payload_bytes);
-    if (!in.read(payload.data(), static_cast<std::streamsize>(payload.size())) ||
-        response.aux != static_cast<std::uint8_t>(FrameStatus::kOk)) {
-      ++mismatches;
-      return answered;
-    }
-    const auto records = decode_records(payload);
-    if (!records.has_value() || records->size() != end - start) {
-      ++mismatches;
-      return answered;
-    }
-    for (std::size_t i = start; i < end; ++i) {
-      if ((*records)[i - start].class_id == kFrameMissClassId ||
-          (expected != nullptr && (*records)[i - start].class_id != (*expected)[i])) {
-        ++mismatches;
+    for (const auto& [width, indices] : by_width) {
+      std::vector<TruthTable> group;
+      for (const std::size_t i : indices) {
+        group.push_back(funcs[i]);
       }
-      ++answered;
+      const auto response = frame_round_trip(socket, encode_batch_request(verb, width, group));
+      const auto records = response.has_value() && response->status() == FrameStatus::kOk
+                               ? decode_records(response->payload)
+                               : std::nullopt;
+      if (!records.has_value() || records->size() != indices.size()) {
+        ++mismatches;
+        return answered;
+      }
+      for (std::size_t k = 0; k < indices.size(); ++k) {
+        if ((*records)[k].class_id == kFrameMissClassId ||
+            (expected != nullptr && (*records)[k].class_id != (*expected)[indices[k]])) {
+          ++mismatches;
+        }
+        ++answered;
+      }
     }
     latency.record_ns(now_ns() - t0);
   }
-  request = encode_control_request(FrameVerb::kQuit);
-  out.write(request.data(), static_cast<std::streamsize>(request.size()));
-  out.flush();
+  const auto bye = frame_round_trip(socket, encode_control_request(FrameVerb::kQuit));
+  if (!bye.has_value() || bye->status() != FrameStatus::kOk) {
+    ++mismatches;
+  }
   return answered;
 }
 
@@ -268,12 +202,6 @@ int main(int argc, char** argv)
   ClassStore store = build_class_store(funcs, build_options);
   std::cout << "store:   " << store.num_records() << " classes\n";
 
-  std::vector<std::string> hex;
-  hex.reserve(funcs.size());
-  for (const auto& f : funcs) {
-    hex.push_back(to_hex(f));
-  }
-
   // --- direct warm lookups (the in-process ceiling) ------------------------
   std::vector<std::uint32_t> expected;
   expected.reserve(funcs.size());
@@ -292,7 +220,7 @@ int main(int argc, char** argv)
   std::atomic<std::size_t> mismatches{0};
   std::vector<PhaseResult> phases;
 
-  // --- phase: read_mostly --------------------------------------------------
+  // --- phase: read_mostly_v2 -----------------------------------------------
   {
     ServeServerOptions server_options;
     server_options.listen = "127.0.0.1:0";
@@ -300,16 +228,10 @@ int main(int argc, char** argv)
     ServeServer server{store, "bench_serve_socket.fcs", server_options};
     server.start();
     const std::uint16_t port = server.tcp_port();
-    sweep_phase("read_mostly", fleet_sizes, phases,
-                [&](std::size_t, obs::LatencyHistogram& latency) {
-                  return run_client(port, hex, &expected, batch, mismatches, latency);
-                });
-    // Same server, same warm store, same batches — protocol v2 binary
-    // frames instead of mlookup text. The rate gap is pure wire+parse
-    // overhead; ids are still checked bit-identical.
     sweep_phase("read_mostly_v2", fleet_sizes, phases,
                 [&](std::size_t, obs::LatencyHistogram& latency) {
-                  return run_client_v2(port, funcs, &expected, batch, mismatches, latency);
+                  return run_client(port, FrameVerb::kLookup, funcs, &expected, batch, mismatches,
+                                    latency);
                 });
     server.request_shutdown();
     server.wait();
@@ -328,7 +250,6 @@ int main(int argc, char** argv)
     ServeServerOptions server_options;
     server_options.listen = "127.0.0.1:0";
     server_options.max_connections = max_clients + 8;
-    server_options.append_on_miss = true;
     ServeServer server{append_store, append_path, server_options};
     server.start();
 
@@ -341,21 +262,20 @@ int main(int argc, char** argv)
       total_streams += c;
     }
     std::uint64_t seed = 0xbe5eULL;
-    std::vector<std::shared_ptr<std::vector<std::string>>> streams;
-    for (std::size_t k = 0; k < total_streams; ++k) {
-      auto stream = std::make_shared<std::vector<std::string>>();
+    std::vector<std::vector<TruthTable>> streams(total_streams);
+    for (auto& stream : streams) {
       std::mt19937_64 rng{seed++};
       for (std::size_t i = 0; i < append_funcs; ++i) {
-        stream->push_back(to_hex(tt_random(n, rng)));
+        stream.push_back(tt_random(n, rng));
       }
-      streams.push_back(std::move(stream));
     }
     std::atomic<std::size_t> next_stream{0};
     const std::uint16_t append_port = server.tcp_port();
     sweep_phase("append_heavy", fleet_sizes, phases,
                 [&](std::size_t, obs::LatencyHistogram& latency) {
-                  return run_client(append_port, *streams[next_stream.fetch_add(1)], nullptr,
-                                    batch, mismatches, latency);
+                  return run_client(append_port, FrameVerb::kAppend,
+                                    streams[next_stream.fetch_add(1)], nullptr, batch, mismatches,
+                                    latency);
                 });
     server.request_shutdown();
     server.wait();
@@ -368,7 +288,7 @@ int main(int argc, char** argv)
   // all widths, so requests stripe across the per-width store gates.
   {
     StoreRouter router;
-    std::vector<std::string> mixed_hex;
+    std::vector<TruthTable> mixed_funcs;
     std::vector<std::uint32_t> mixed_expected;
     for (const int width : {std::max(3, n - 2), std::max(4, n - 1), std::max(5, n)}) {
       if (router.store_for(width) != nullptr) {
@@ -384,34 +304,34 @@ int main(int argc, char** argv)
       width_build.store.hot_cache_capacity = 2 * width_funcs.size() + 16;
       auto width_store = std::make_unique<ClassStore>(build_class_store(width_funcs, width_build));
       for (const auto& f : width_funcs) {
-        mixed_hex.push_back(to_hex(f));
+        mixed_funcs.push_back(f);
         mixed_expected.push_back(width_store->lookup(f)->class_id);
       }
       router.attach(std::move(width_store));
     }
-    // Interleave widths: shuffle (hex, id) pairs once, deterministically.
+    // Interleave widths: shuffle (function, id) pairs once,
+    // deterministically.
     {
       std::mt19937_64 rng{0x51afULL};
-      for (std::size_t i = mixed_hex.size(); i > 1; --i) {
+      for (std::size_t i = mixed_funcs.size(); i > 1; --i) {
         const std::size_t j = rng() % i;
-        std::swap(mixed_hex[i - 1], mixed_hex[j]);
+        std::swap(mixed_funcs[i - 1], mixed_funcs[j]);
         std::swap(mixed_expected[i - 1], mixed_expected[j]);
       }
     }
     ServeServerOptions server_options;
     server_options.listen = "127.0.0.1:0";
     server_options.max_connections = max_clients + 8;
-    // Genuinely read-only: a miss answers `err` (caught as a mismatch)
-    // instead of silently classifying live, and the in-memory stores need
-    // no index paths to flush or compact against.
+    // Genuinely read-only: the in-memory stores need no index paths to
+    // flush or compact against (a lookup miss is caught as a mismatch).
     server_options.readonly = true;
     ServeServer server{router, std::map<int, std::string>{}, server_options};
     server.start();
     const std::uint16_t router_port = server.tcp_port();
     sweep_phase("mixed_width_router", fleet_sizes, phases,
                 [&](std::size_t, obs::LatencyHistogram& latency) {
-                  return run_client(router_port, mixed_hex, &mixed_expected, batch, mismatches,
-                                    latency);
+                  return run_client(router_port, FrameVerb::kLookup, mixed_funcs,
+                                    &mixed_expected, batch, mismatches, latency);
                 });
     server.request_shutdown();
     server.wait();
@@ -424,39 +344,23 @@ int main(int argc, char** argv)
   // The headline numbers CI trends: 1-client read-mostly vs the 8-client
   // fleet (falling back to the largest fleet actually run, so a --clients
   // value below 8 never reports a spurious zero).
-  double single_rate = 0;
-  double fleet_rate = 0;
-  double fleet_scaling = 0;
-  std::size_t fleet_clients = 0;
   double v2_single_rate = 0;
   double v2_fleet_rate = 0;
+  double fleet_scaling = 0;
+  std::size_t fleet_clients = 0;
   for (const auto& phase : phases) {
-    if (phase.phase == "read_mostly_v2") {
-      if (phase.clients == 1) {
-        v2_single_rate = phase.rate;
-      }
-      if (phase.clients == 8 || phase.clients == fleet_clients) {
-        v2_fleet_rate = phase.rate;
-      }
-      continue;
-    }
-    if (phase.phase != "read_mostly") {
+    if (phase.phase != "read_mostly_v2") {
       continue;
     }
     if (phase.clients == 1) {
-      single_rate = phase.rate;
+      v2_single_rate = phase.rate;
     }
     if (phase.clients == 8 || (fleet_clients != 8 && phase.clients > fleet_clients)) {
-      fleet_rate = phase.rate;
+      v2_fleet_rate = phase.rate;
       fleet_scaling = phase.scaling;
       fleet_clients = phase.clients;
     }
   }
-  // Headline protocol comparison: the same warm store, same batches, one
-  // client — the only variable is the wire format and its parse cost.
-  const double v2_over_v1 = single_rate > 0 ? v2_single_rate / single_rate : 0.0;
-  std::cout << "protocol v2 single-client: " << v2_single_rate << " lookups/s ("
-            << v2_over_v1 << "x the v1 line protocol)\n";
 
   std::ofstream json{out_path, std::ios::trunc};
   json << "{\n"
@@ -468,11 +372,8 @@ int main(int argc, char** argv)
        << "  \"batch\": " << batch << ",\n"
        << "  \"cpus\": " << cpus << ",\n"
        << "  \"direct_warm_lookups_per_sec\": " << direct_rate << ",\n"
-       << "  \"socket_single_client_lookups_per_sec\": " << single_rate << ",\n"
-       << "  \"socket_fleet_lookups_per_sec\": " << fleet_rate << ",\n"
        << "  \"socket_v2_single_client_lookups_per_sec\": " << v2_single_rate << ",\n"
        << "  \"socket_v2_fleet_lookups_per_sec\": " << v2_fleet_rate << ",\n"
-       << "  \"v2_over_v1\": " << v2_over_v1 << ",\n"
        << "  \"fleet_clients\": " << fleet_clients << ",\n"
        << "  \"read_mostly_fleet_scaling\": " << fleet_scaling << ",\n"
        << "  \"phases\": [\n";

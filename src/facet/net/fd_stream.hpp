@@ -1,12 +1,11 @@
 /// \file fd_stream.hpp
 /// \brief A std::streambuf over a POSIX file descriptor.
 ///
-/// The serve protocol (store/serve.hpp) is written against std::istream /
-/// std::ostream so the same session code runs over stdin/stdout and over
-/// sockets. FdStreamBuf is the bridge: buffered reads and writes over one
-/// fd, with EINTR retries and SIGPIPE suppressed on socket writes (a client
-/// that disconnects mid-response must surface as a stream error, never kill
-/// the serving process).
+/// Blocking socket clients (and the server's one-shot capacity reply) talk
+/// through std::istream / std::ostream; FdStreamBuf is the bridge: buffered
+/// reads and writes over one fd, with EINTR retries and SIGPIPE suppressed
+/// on socket writes (a peer that disconnects mid-write must surface as a
+/// stream error, never kill the process).
 ///
 /// The buffer does not own the descriptor — the Socket (socket.hpp) or
 /// whatever opened the fd closes it. One FdStreamBuf must not be driven

@@ -1,12 +1,18 @@
 #include "facet/net/frame.hpp"
 
-#include <cstring>
 #include <exception>
+#include <iostream>
 #include <sstream>
 
 #include "facet/obs/clock.hpp"
-#include "facet/obs/registry.hpp"
-#include "facet/tt/tt_io.hpp"
+
+#if defined(__unix__) || defined(__APPLE__)
+#define FACET_HAS_SOCKETS 1
+#include <cerrno>
+#include <sys/socket.h>
+#else
+#define FACET_HAS_SOCKETS 0
+#endif
 
 namespace facet {
 
@@ -22,6 +28,7 @@ const char* frame_status_name(FrameStatus status) noexcept
     case FrameStatus::kReadonly: return "readonly";
     case FrameStatus::kUnrouted: return "unrouted";
     case FrameStatus::kInternal: return "internal";
+    case FrameStatus::kAtCapacity: return "at_capacity";
   }
   return "unknown";
 }
@@ -153,6 +160,18 @@ std::string encode_control_request(FrameVerb verb)
   return out;
 }
 
+void encode_response(std::string& out, std::uint8_t verb, FrameStatus status,
+                     std::string_view payload)
+{
+  FrameHeader header;
+  header.magic = kFrameResponseMagic;
+  header.verb = verb;
+  header.aux = static_cast<std::uint8_t>(status);
+  header.payload_bytes = static_cast<std::uint32_t>(payload.size());
+  encode_header(out, header);
+  out.append(payload);
+}
+
 std::optional<std::vector<FrameRecord>> decode_records(const std::string& payload)
 {
   if (payload.size() < 4) {
@@ -176,6 +195,74 @@ std::optional<std::vector<FrameRecord>> decode_records(const std::string& payloa
   return records;
 }
 
+#if FACET_HAS_SOCKETS
+
+namespace {
+
+/// Reads exactly `size` bytes; false on EOF or a socket error.
+bool recv_exact(int fd, char* data, std::size_t size)
+{
+  std::size_t got = 0;
+  while (got < size) {
+    const ssize_t n = ::recv(fd, data + got, size - got, 0);
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    if (n <= 0) {
+      return false;
+    }
+    got += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+}  // namespace
+
+std::optional<FrameResponse> frame_round_trip(const Socket& socket, std::string_view request)
+{
+#if defined(MSG_NOSIGNAL)
+  constexpr int kSendFlags = MSG_NOSIGNAL;  // a vanished server is an error, not SIGPIPE
+#else
+  constexpr int kSendFlags = 0;
+#endif
+  std::size_t sent = 0;
+  while (sent < request.size()) {
+    const ssize_t n =
+        ::send(socket.fd(), request.data() + sent, request.size() - sent, kSendFlags);
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    if (n <= 0) {
+      return std::nullopt;
+    }
+    sent += static_cast<std::size_t>(n);
+  }
+  char head[kFrameHeaderBytes];
+  if (!recv_exact(socket.fd(), head, sizeof head)) {
+    return std::nullopt;
+  }
+  FrameResponse response;
+  response.header = decode_header(reinterpret_cast<const unsigned char*>(head));
+  if (response.header.magic != kFrameResponseMagic ||
+      response.header.payload_bytes > kMaxFramePayloadBytes) {
+    return std::nullopt;
+  }
+  response.payload.resize(response.header.payload_bytes);
+  if (!recv_exact(socket.fd(), response.payload.data(), response.payload.size())) {
+    return std::nullopt;
+  }
+  return response;
+}
+
+#else  // !FACET_HAS_SOCKETS
+
+std::optional<FrameResponse> frame_round_trip(const Socket&, std::string_view)
+{
+  throw NetError{"sockets are not supported on this platform"};
+}
+
+#endif
+
 // ---------------------------------------------------------------------------
 // FrameSession
 
@@ -187,13 +274,11 @@ constexpr std::array<const char*, 6> kFrameVerbNames{"unknown", "lookup", "appen
 
 }  // namespace
 
-FrameSession::FrameSession(ServeDispatcher* dispatcher) : dispatcher_{dispatcher}
+FrameSession::FrameSession(ServeDispatcher* dispatcher)
+    : dispatcher_{dispatcher}, slow_request_us_{dispatcher->options().slow_request_us}
 {
-  auto& registry = obs::MetricRegistry::global();
   for (std::size_t v = 0; v < kFrameVerbNames.size(); ++v) {
-    frame_latency_[v] = &registry.histogram(
-        "facet_serve_frame_latency",
-        obs::label("proto", "v2") + "," + obs::label("verb", kFrameVerbNames[v]));
+    frame_latency_[v] = &serve_frame_latency(kFrameVerbNames[v]);
   }
 }
 
@@ -208,7 +293,7 @@ FrameStep FrameSession::consume(std::string& in, std::string& out)
     const auto* base = reinterpret_cast<const unsigned char*>(in.data()) + offset;
     const FrameHeader header = decode_header(base);
     if (header.magic != kFrameRequestMagic || header.flags != 0) {
-      respond_err(out, static_cast<FrameVerb>(header.verb), FrameStatus::kBadFrame,
+      respond_err(out, header, FrameStatus::kBadFrame,
                   "bad frame header (wrong magic or nonzero flags)");
       step = FrameStep::kClose;
       offset = in.size();
@@ -218,8 +303,7 @@ FrameStep FrameSession::consume(std::string& in, std::string& out)
       std::ostringstream reason;
       reason << "frame payload " << header.payload_bytes << " exceeds "
              << kMaxFramePayloadBytes << " bytes";
-      respond_err(out, static_cast<FrameVerb>(header.verb), FrameStatus::kTooLarge,
-                  reason.str());
+      respond_err(out, header, FrameStatus::kTooLarge, reason.str());
       step = FrameStep::kClose;
       offset = in.size();
       break;
@@ -232,14 +316,16 @@ FrameStep FrameSession::consume(std::string& in, std::string& out)
     try {
       step = handle_frame(header, base + kFrameHeaderBytes, out);
     } catch (const std::exception& e) {
-      dispatcher_->count_error();
-      respond_err(out, static_cast<FrameVerb>(header.verb), FrameStatus::kInternal,
-                  e.what());
+      respond_err(out, header, FrameStatus::kInternal, e.what());
       step = FrameStep::kClose;
     }
     const std::size_t verb_slot =
         header.verb < kFrameVerbNames.size() ? header.verb : 0;
-    frame_latency_[verb_slot]->record_ns(obs::ticks_to_ns(obs::now_ticks() - t0));
+    const std::uint64_t ns = obs::ticks_to_ns(obs::now_ticks() - t0);
+    frame_latency_[verb_slot]->record_ns(ns);
+    if (slow_request_us_ != 0 && ns / 1000 >= slow_request_us_) {
+      log_slow(header, ns);
+    }
     offset += kFrameHeaderBytes + header.payload_bytes;
   }
   // One erase per consume call, not per frame: a burst of pipelined frames
@@ -254,32 +340,31 @@ FrameStep FrameSession::consume(std::string& in, std::string& out)
 FrameStep FrameSession::handle_frame(const FrameHeader& header,
                                      const unsigned char* payload, std::string& out)
 {
+  last_src_ = nullptr;
   switch (static_cast<FrameVerb>(header.verb)) {
     case FrameVerb::kLookup:
     case FrameVerb::kAppend:
       return handle_batch(header, payload, out);
     case FrameVerb::kStats:
-      respond_ok(out, FrameVerb::kStats, dispatcher_->stats_all_text());
+      encode_response(out, header.verb, FrameStatus::kOk, dispatcher_->stats_all_text());
       return FrameStep::kContinue;
     case FrameVerb::kMetrics:
-      respond_ok(out, FrameVerb::kMetrics, dispatcher_->metrics_text());
+      encode_response(out, header.verb, FrameStatus::kOk, dispatcher_->metrics_text());
       return FrameStep::kContinue;
     case FrameVerb::kQuit: {
-      // Flush before answering, mirroring the v1 quit contract: a client
-      // that reads the ok frame knows its appends are durable.
+      // Flush before answering: a client that reads the ok frame knows its
+      // appends are durable.
       const std::uint64_t flushed = dispatcher_->flush_on_exit();
       std::string body;
       append_u64(body, flushed);
-      respond_ok(out, FrameVerb::kQuit, body);
+      encode_response(out, header.verb, FrameStatus::kOk, body);
       return FrameStep::kClose;
     }
     default: {
-      dispatcher_->count_error();
       std::ostringstream reason;
       reason << "unknown verb id " << static_cast<unsigned>(header.verb)
              << " (lookup=1 append=2 stats=3 metrics=4 quit=5)";
-      respond_err(out, static_cast<FrameVerb>(header.verb), FrameStatus::kBadVerb,
-                  reason.str());
+      respond_err(out, header, FrameStatus::kBadVerb, reason.str());
       return FrameStep::kContinue;
     }
   }
@@ -288,43 +373,37 @@ FrameStep FrameSession::handle_frame(const FrameHeader& header,
 FrameStep FrameSession::handle_batch(const FrameHeader& header,
                                      const unsigned char* payload, std::string& out)
 {
-  const auto verb = static_cast<FrameVerb>(header.verb);
   const int width = header.aux;
   if (width > kMaxVars) {
-    dispatcher_->count_error();
     std::ostringstream reason;
     reason << "width " << width << " exceeds " << kMaxVars;
-    respond_err(out, verb, FrameStatus::kBadWidth, reason.str());
+    respond_err(out, header, FrameStatus::kBadWidth, reason.str());
     return FrameStep::kContinue;
   }
-  const bool append = verb == FrameVerb::kAppend;
-  if (append && dispatcher_->readonly()) {
-    dispatcher_->count_error();
-    respond_err(out, verb, FrameStatus::kReadonly, "append on a readonly server");
+  const bool append = static_cast<FrameVerb>(header.verb) == FrameVerb::kAppend;
+  if (append && dispatcher_->options().readonly) {
+    respond_err(out, header, FrameStatus::kReadonly, "append on a readonly server");
     return FrameStep::kContinue;
   }
   ClassStore* store = dispatcher_->store_for_width(width);
   if (store == nullptr) {
-    dispatcher_->count_error();
     std::ostringstream reason;
     reason << "no store routes width " << width;
-    respond_err(out, verb, FrameStatus::kUnrouted, reason.str());
+    respond_err(out, header, FrameStatus::kUnrouted, reason.str());
     return FrameStep::kContinue;
   }
   if (header.payload_bytes < 4) {
-    dispatcher_->count_error();
-    respond_err(out, verb, FrameStatus::kBadCount, "batch payload shorter than its count");
+    respond_err(out, header, FrameStatus::kBadCount, "batch payload shorter than its count");
     return FrameStep::kContinue;
   }
   const std::uint32_t count = read_u32(payload);
   const std::size_t operand_bytes = frame_operand_bytes(width);
   if (header.payload_bytes != 4 + static_cast<std::uint64_t>(count) * operand_bytes) {
-    dispatcher_->count_error();
     std::ostringstream reason;
     reason << "count " << count << " at width " << width << " needs "
            << 4 + static_cast<std::uint64_t>(count) * operand_bytes
            << " payload bytes, frame carries " << header.payload_bytes;
-    respond_err(out, verb, FrameStatus::kBadCount, reason.str());
+    respond_err(out, header, FrameStatus::kBadCount, reason.str());
     return FrameStep::kContinue;
   }
 
@@ -347,31 +426,35 @@ FrameStep FrameSession::handle_batch(const FrameHeader& header,
     body.push_back(0);
     body.push_back(0);
   }
-  respond_ok(out, verb, body);
+  if (count > 0) {
+    // src byte of the last 8-byte record (u32 id, u8 known, u8 src, u16)
+    last_src_ = frame_src_name(static_cast<std::uint8_t>(body[body.size() - 3]));
+  }
+  encode_response(out, header.verb, FrameStatus::kOk, body);
   return FrameStep::kContinue;
 }
 
-void FrameSession::respond_err(std::string& out, FrameVerb verb, FrameStatus status,
-                               const std::string& reason)
+void FrameSession::respond_err(std::string& out, const FrameHeader& header, FrameStatus status,
+                               std::string_view reason)
 {
-  FrameHeader header;
-  header.magic = kFrameResponseMagic;
-  header.verb = static_cast<std::uint8_t>(verb);
-  header.aux = static_cast<std::uint8_t>(status);
-  header.payload_bytes = static_cast<std::uint32_t>(reason.size());
-  encode_header(out, header);
-  out.append(reason);
+  dispatcher_->count_error();
+  encode_response(out, header.verb, status, reason);
 }
 
-void FrameSession::respond_ok(std::string& out, FrameVerb verb, const std::string& payload)
+void FrameSession::log_slow(const FrameHeader& header, std::uint64_t ns) const
 {
-  FrameHeader header;
-  header.magic = kFrameResponseMagic;
-  header.verb = static_cast<std::uint8_t>(verb);
-  header.aux = static_cast<std::uint8_t>(FrameStatus::kOk);
-  header.payload_bytes = static_cast<std::uint32_t>(payload.size());
-  encode_header(out, header);
-  out.append(payload);
+  const ServeOptions& options = dispatcher_->options();
+  std::ostream& log = options.slow_log != nullptr ? *options.slow_log : std::cerr;
+  const auto verb = static_cast<FrameVerb>(header.verb);
+  const bool batch = verb == FrameVerb::kLookup || verb == FrameVerb::kAppend;
+  log << "facet-serve: slow verb="
+      << kFrameVerbNames[header.verb < kFrameVerbNames.size() ? header.verb : 0] << " width=";
+  if (batch) {
+    log << static_cast<unsigned>(header.aux);
+  } else {
+    log << '-';
+  }
+  log << " src=" << (last_src_ != nullptr ? last_src_ : "-") << " us=" << ns / 1000 << "\n";
 }
 
 }  // namespace facet

@@ -1,7 +1,7 @@
 #pragma once
 
-/// Protocol v2: length-prefixed binary frames over the same TCP / Unix
-/// listeners as the v1 line protocol.
+/// Protocol v2: length-prefixed binary frames — the one wire protocol of
+/// the serve listeners (net/server.hpp), over TCP and Unix-domain sockets.
 ///
 /// Every frame is an 8-byte little-endian header followed by `payload_bytes`
 /// of payload:
@@ -14,10 +14,6 @@
 ///     3       1     flags (must be 0)  flags (0)
 ///     4       4     payload bytes      payload bytes
 ///
-/// The request magic 0xFB doubles as the protocol sniff byte: no v1 request
-/// line starts with 0xFB, so a server in `--proto auto` routes a connection
-/// by its first byte and never mixes protocols on one connection.
-///
 /// Verbs:
 ///
 ///     id  verb     request payload                 ok response payload
@@ -25,7 +21,8 @@
 ///     1   lookup   u32 count, count fixed-width    u32 count, count 8-byte
 ///                  truth tables (LE bytes)         records (below)
 ///     2   append   same as lookup                  same as lookup
-///     3   stats    empty                           `stats all` text block
+///     3   stats    empty                           stats text block
+///                                                  (store/serve.hpp)
 ///     4   metrics  empty                           Prometheus text body
 ///     5   quit     empty                           u64 flushed records
 ///
@@ -51,15 +48,19 @@
 /// kMaxFramePayloadBytes) answer an err frame and then close — the stream
 /// can no longer be trusted. Request-level faults (unknown verb, bad width,
 /// bad count, readonly, unrouted width) answer an err frame and keep the
-/// connection open: framing is intact, so the next frame parses fine.
+/// connection open: framing is intact, so the next frame parses fine. A
+/// connection beyond the server's limit is answered one `kAtCapacity` err
+/// frame (verb 0) before any request is read, then closed.
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "facet/net/socket.hpp"
 #include "facet/store/serve.hpp"
 #include "facet/tt/truth_table.hpp"
 
@@ -68,8 +69,8 @@ namespace facet {
 inline constexpr std::uint8_t kFrameRequestMagic = 0xFB;
 inline constexpr std::uint8_t kFrameResponseMagic = 0xFC;
 
-/// Hard cap on one frame's payload, mirroring kMaxRequestLineBytes: a
-/// hostile length prefix cannot balloon the serving process.
+/// Hard cap on one frame's payload: a hostile length prefix cannot balloon
+/// the serving process.
 inline constexpr std::uint32_t kMaxFramePayloadBytes = 1u << 20;
 
 enum class FrameVerb : std::uint8_t {
@@ -90,6 +91,7 @@ enum class FrameStatus : std::uint8_t {
   kReadonly = 6,
   kUnrouted = 7,
   kInternal = 8,   // unexpected exception — connection closes
+  kAtCapacity = 9, // connection limit reached — connection closes
 };
 
 [[nodiscard]] const char* frame_status_name(FrameStatus status) noexcept;
@@ -160,10 +162,34 @@ void encode_operand(std::string& out, const TruthTable& tt);
 /// Builds a payload-less request frame (stats / metrics / quit).
 [[nodiscard]] std::string encode_control_request(FrameVerb verb);
 
+/// Appends one response frame (header + payload) with the given verb id and
+/// status; an err status carries its ASCII reason as the payload.
+void encode_response(std::string& out, std::uint8_t verb, FrameStatus status,
+                     std::string_view payload);
+
 /// Decodes the records of an ok lookup/append response payload. Returns
 /// std::nullopt if the payload is malformed (count mismatch).
 [[nodiscard]] std::optional<std::vector<FrameRecord>> decode_records(
     const std::string& payload);
+
+/// One response frame as a client reads it.
+struct FrameResponse {
+  FrameHeader header;
+  std::string payload;
+
+  [[nodiscard]] FrameStatus status() const noexcept
+  {
+    return static_cast<FrameStatus>(header.aux);
+  }
+};
+
+/// The blocking client side of one exchange over a connected socket: writes
+/// all of `request` (nothing when it is empty), then reads exactly one whole
+/// response frame. std::nullopt when the peer closes first, on a socket
+/// error, or when the bytes read are not a response frame (wrong magic, or
+/// a payload above kMaxFramePayloadBytes).
+[[nodiscard]] std::optional<FrameResponse> frame_round_trip(const Socket& socket,
+                                                            std::string_view request);
 
 // ---------------------------------------------------------------------------
 // Server-side session.
@@ -191,14 +217,21 @@ class FrameSession {
                          std::string& out);
   FrameStep handle_batch(const FrameHeader& header, const unsigned char* payload,
                          std::string& out);
-  void respond_err(std::string& out, FrameVerb verb, FrameStatus status,
-                   const std::string& reason);
-  void respond_ok(std::string& out, FrameVerb verb, const std::string& payload);
+  /// Answers an err frame and counts the error.
+  void respond_err(std::string& out, const FrameHeader& header, FrameStatus status,
+                   std::string_view reason);
+  /// Writes the structured slow-request line for one frame.
+  void log_slow(const FrameHeader& header, std::uint64_t ns) const;
 
   ServeDispatcher* dispatcher_;
   /// Pre-resolved facet_serve_frame_latency{proto="v2",verb=...} handles,
   /// indexed by verb id (0 = unknown verb).
   std::array<obs::LatencyHistogram*, 6> frame_latency_{};
+  /// The dispatcher's slow-request threshold (0 = off), read once.
+  std::uint64_t slow_request_us_ = 0;
+  /// src name of the last record the current frame answered, for the slow
+  /// log; null for frames without records.
+  const char* last_src_ = nullptr;
 };
 
 }  // namespace facet

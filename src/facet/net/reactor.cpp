@@ -394,9 +394,6 @@ struct Reactor::Impl {
     bool keep = true;
     try {
       keep = conn->session->on_data(conn->in, out);
-      if (eof && keep) {
-        conn->session->on_eof(conn->in, out);
-      }
     } catch (const std::exception& e) {
       std::cerr << "facet-serve: session error: " << e.what() << "\n";
       keep = false;

@@ -49,15 +49,6 @@ class ReactorConnection {
   /// the connection after `out` drains.
   virtual bool on_data(std::string& in, std::string& out) = 0;
 
-  /// Called once when the peer half-closes, with whatever unconsumed bytes
-  /// remain — a line protocol can answer a final request that arrived
-  /// without its newline. Default: ignore the tail.
-  virtual void on_eof(std::string& in, std::string& out)
-  {
-    (void)in;
-    (void)out;
-  }
-
   /// Called exactly once, just before the connection is destroyed — on EOF,
   /// error, protocol close, idle expiry, or drain. Flush durable state
   /// here.

@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <exception>
 #include <iostream>
-#include <istream>
 #include <ostream>
-#include <sstream>
+#include <string>
 #include <utility>
 
 #include "facet/net/fd_stream.hpp"
@@ -105,13 +104,11 @@ ServeOptions ServeServer::session_options()
 {
   ServeOptions session;
   session.readonly = options_.readonly;
-  session.append_on_miss = options_.append_on_miss && !options_.readonly;
   session.aggregate = &stats_;
   session.slow_request_us = options_.slow_request_us;
-  // Delta logs are wired on every writable server — not just under
-  // --append — because protocol v2 makes append a per-request policy: a
-  // v2 `append` frame must be durable even when the v1-facing default is
-  // lookup-only. A session that appended nothing flushes nothing.
+  // Delta logs are wired on every writable server: append is a per-request
+  // policy, and an `append` frame must be durable. A session that appended
+  // nothing flushes nothing.
   if (!options_.readonly) {
     if (router_ != nullptr) {
       for (const auto& [width, path] : index_paths_) {
@@ -124,55 +121,23 @@ ServeOptions ServeServer::session_options()
   return session;
 }
 
-/// One reactor-owned connection: sniffs (or is pinned to) a protocol on its
-/// first bytes, then runs the shared ServeDispatcher through either the v2
-/// FrameSession or a v1 line splitter. Methods run on one worker at a time
-/// (the reactor's dispatch contract); the dispatcher's counters sync into
-/// the server's aggregate.
+/// One reactor-owned connection: the shared ServeDispatcher behind a v2
+/// FrameSession. Methods run on one worker at a time (the reactor's
+/// dispatch contract); the dispatcher's counters sync into the server's
+/// aggregate.
 class ServeConnection final : public ReactorConnection {
  public:
-  ServeConnection(ServeServer* server, int forced_proto)
+  explicit ServeConnection(ServeServer* server)
       : server_{server},
         dispatcher_{server->store_, server->router_, server->session_options()},
         frame_{&dispatcher_},
-        proto_{forced_proto},
         accepted_ticks_{obs::now_ticks()}
   {
-    line_latency_ = &obs::MetricRegistry::global().histogram(
-        "facet_serve_frame_latency",
-        obs::label("proto", "v1") + "," + obs::label("verb", "line"));
   }
 
   bool on_data(std::string& in, std::string& out) override
   {
-    if (proto_ == 0) {
-      if (in.empty()) {
-        return true;
-      }
-      proto_ = static_cast<unsigned char>(in.front()) == kFrameRequestMagic ? 2 : 1;
-    }
-    if (proto_ == 2) {
-      return frame_.consume(in, out) == FrameStep::kContinue;
-    }
-    return consume_lines(in, out);
-  }
-
-  void on_eof(std::string& in, std::string& out) override
-  {
-    if (proto_ != 1) {
-      return;  // v2 (or never-spoke): an incomplete trailing frame is noise
-    }
-    // The v1 stream loop answers a final request that arrived without its
-    // newline — keep that for parity with the old blocking server.
-    std::ostringstream reply;
-    if (overflowing_) {
-      dispatcher_.handle_oversized_line(reply);
-      overflowing_ = false;
-    } else if (!in.empty()) {
-      dispatcher_.handle_request_line(in, reply);
-    }
-    in.clear();
-    out += reply.str();
+    return frame_.consume(in, out) == FrameStep::kContinue;
   }
 
   void on_close() noexcept override
@@ -188,49 +153,10 @@ class ServeConnection final : public ReactorConnection {
   }
 
  private:
-  bool consume_lines(std::string& in, std::string& out)
-  {
-    std::ostringstream reply;
-    bool keep = true;
-    std::size_t start = 0;
-    for (;;) {
-      const std::size_t nl = in.find('\n', start);
-      if (nl == std::string::npos) {
-        break;
-      }
-      if (overflowing_) {
-        // the tail of an oversized line just ended; the err is its answer
-        dispatcher_.handle_oversized_line(reply);
-        overflowing_ = false;
-      } else {
-        const std::string line = in.substr(start, nl - start);
-        const std::uint64_t t0 = obs::now_ticks();
-        keep = dispatcher_.handle_request_line(line, reply);
-        line_latency_->record_ns(obs::ticks_to_ns(obs::now_ticks() - t0));
-      }
-      start = nl + 1;
-      if (!keep) {
-        break;
-      }
-    }
-    in.erase(0, start);
-    if (overflowing_ || (keep && in.size() > kMaxRequestLineBytes)) {
-      // an unbounded line without a newline cannot be allowed to balloon
-      // the buffer: discard as it streams in, answer err at its newline
-      overflowing_ = true;
-      in.clear();
-    }
-    out += reply.str();
-    return keep;
-  }
-
   ServeServer* server_;
   ServeDispatcher dispatcher_;
   FrameSession frame_;
-  int proto_;  ///< 0 = sniff first byte, 1 = v1 lines, 2 = v2 frames
-  bool overflowing_ = false;
   std::uint64_t accepted_ticks_;
-  obs::LatencyHistogram* line_latency_ = nullptr;
 };
 
 #if FACET_HAS_SOCKETS
@@ -318,7 +244,6 @@ void ServeServer::request_shutdown() noexcept
 
 void ServeServer::accept_loop()
 {
-  const int forced_proto = options_.proto == "v1" ? 1 : options_.proto == "v2" ? 2 : 0;
   std::vector<pollfd> fds;
   fds.push_back({wake_pipe_[0], POLLIN, 0});
   if (tcp_listener_.valid()) {
@@ -359,17 +284,19 @@ void ServeServer::accept_loop()
         continue;
       }
       if (stats_.connections_active.load() >= options_.max_connections) {
+        std::string reply;
+        encode_response(reply, 0, FrameStatus::kAtCapacity,
+                        "server at capacity (" + std::to_string(options_.max_connections) +
+                            " connections)");
         FdStreamBuf buf{connection.fd()};
         std::ostream out{&buf};
-        out << "err server at capacity (" << options_.max_connections << " connections)\n"
-            << std::flush;
+        out << reply << std::flush;
         continue;  // connection closes on scope exit
       }
       ++stats_.connections_active;
       ++stats_.connections_total;
       active_connections_gauge().add(1);
-      reactor_->add(std::move(connection),
-                    std::make_unique<ServeConnection>(this, forced_proto));
+      reactor_->add(std::move(connection), std::make_unique<ServeConnection>(this));
     }
   }
   tcp_listener_.close();

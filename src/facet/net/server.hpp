@@ -3,10 +3,8 @@
 ///        sharing one ClassStore / StoreRouter, plus background compaction.
 ///
 /// `facet_cli serve --listen HOST:PORT [--unix PATH]` runs a ServeServer:
-/// a TCP and/or Unix-domain listener whose accepted connections speak
-/// either the v1 line protocol of store/serve.hpp or the v2 binary frame
-/// protocol of net/frame.hpp (`--proto auto` sniffs the first byte: 0xFB
-/// is a v2 frame, anything else a v1 line) against ONE shared store.
+/// a TCP and/or Unix-domain listener whose accepted connections speak the
+/// protocol v2 binary frames of net/frame.hpp against ONE shared store.
 /// Connections are owned by an epoll/poll Reactor (net/reactor.hpp): an
 /// idle connection costs one poller registration instead of a thread, and
 /// a fixed worker pool (`--workers`, default hardware_concurrency) runs
@@ -18,8 +16,8 @@
 ///   * lookups, hot-cache probes and index searches run gate-free against
 ///     the store's atomically-published tier snapshot — reader connections
 ///     never block behind a mutator;
-///   * mutations — live classification, append_on_miss, session-exit delta
-///     flushes, compaction swaps — serialize inside each store's own gate,
+///   * mutations — `append` frames (live classification + memtable append),
+///     session-exit delta flushes, compaction swaps — serialize inside each store's own gate,
 ///     striped per width under a router: traffic on one width never stalls
 ///     another.
 ///
@@ -38,8 +36,8 @@
 /// compactor, then run one final flush — a server killed mid-traffic loses
 /// zero appended classes.
 ///
-/// `--readonly` drops the mutation paths entirely: misses answer `err`
-/// instead of classifying live, appends are rejected, and every connection
+/// `--readonly` drops the mutation paths entirely: `append` frames answer
+/// the `readonly` err status, and every connection
 /// runs purely on the gate-free read path — the fleet fan-out mode where
 /// many replicas serve one warm index.
 
@@ -74,12 +72,10 @@ struct ServeServerOptions {
   /// listen/unix_path must be set.
   std::string unix_path;
 
-  /// Serve reads only (see serve.hpp): misses answer err, appends rejected.
+  /// Serve reads only (see serve.hpp): `append` frames are refused.
   bool readonly = false;
-  /// Persist unknown classes (ignored under readonly).
-  bool append_on_miss = false;
 
-  /// Connections beyond this answer `err server at capacity` and close.
+  /// Connections beyond this answer one `at_capacity` err frame and close.
   std::size_t max_connections = 64;
 
   /// Disconnect a connection that sends nothing for this long (its session
@@ -88,15 +84,11 @@ struct ServeServerOptions {
   /// timeout.
   std::chrono::milliseconds idle_timeout{0};
 
-  /// Protocol selection: "auto" (default) sniffs the first byte per
-  /// connection, "v1" / "v2" pin every connection to one protocol.
-  std::string proto = "auto";
-
   /// Worker threads running protocol sessions; 0 = hardware_concurrency.
   std::size_t workers = 0;
 
-  /// Sessions log any request slower than this many microseconds to stderr
-  /// (`--slow-us`; 0 disables — see ServeOptions::slow_request_us).
+  /// Sessions log any request frame slower than this many microseconds to
+  /// stderr (`--slow-us`; 0 disables — see ServeOptions::slow_request_us).
   std::uint64_t slow_request_us = 0;
 
   /// Readonly replicas only: re-stat every served index (base + delta log)
@@ -129,11 +121,11 @@ struct CompactionEvent {
 
 class ServeServer {
  public:
-  /// Serves one single-width store with the single-store protocol.
+  /// Serves one single-width store.
   /// `index_path` locates the base segment (its delta log rides alongside).
   ServeServer(ClassStore& store, std::string index_path, ServeServerOptions options);
 
-  /// Serves a router (mixed widths, width inferred per operand).
+  /// Serves a router (mixed widths, routed by each frame's width byte).
   /// `index_paths` maps each routed width to its base-segment path.
   ServeServer(StoreRouter& router, std::map<int, std::string> index_paths,
               ServeServerOptions options);
@@ -165,7 +157,7 @@ class ServeServer {
   /// requests for tests and logs). 0 when no TCP listener is configured.
   [[nodiscard]] std::uint16_t tcp_port() const noexcept { return tcp_port_; }
 
-  /// Aggregated protocol + compaction counters (the `stats all` numbers).
+  /// Aggregated protocol + compaction counters (the `stats` numbers).
   [[nodiscard]] const ServeAggregateStats& stats() const noexcept { return stats_; }
 
   /// Compactions performed so far (copy; internally synchronized).

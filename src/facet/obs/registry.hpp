@@ -20,8 +20,8 @@
 ///                                             dense v2)
 ///   facet_segment_block_scan_len{width=<n>}  (records scanned inside the
 ///                                             one v3 block a probe lands on)
-///   facet_serve_request_latency{verb=lookup|mlookup|info|stats|metrics|err}
-///   facet_serve_batch_size{verb=mlookup}
+///   facet_serve_frame_latency{proto=v2,verb=lookup|append|stats|metrics|
+///                             quit|unknown}
 ///   facet_serve_connection_lifetime
 ///   facet_compaction_duration{phase=flush|merge|write|adopt|total}
 ///   facet_canonicalize_latency{path=bb|walk}

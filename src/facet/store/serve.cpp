@@ -1,19 +1,10 @@
 #include "facet/store/serve.hpp"
 
-#include <algorithm>
-#include <array>
-#include <exception>
-#include <iostream>
-#include <istream>
-#include <ostream>
 #include <sstream>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "facet/obs/clock.hpp"
 #include "facet/obs/registry.hpp"
-#include "facet/tt/tt_io.hpp"
 
 namespace facet {
 
@@ -75,117 +66,7 @@ void count_source(Counters& stats, LookupSource source)
   }
 }
 
-[[nodiscard]] bool is_hex_digit(char c) noexcept
-{
-  return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F');
-}
-
-/// The operand without its optional "0x"/"0X" prefix.
-[[nodiscard]] std::string_view hex_payload(std::string_view token) noexcept
-{
-  if (token.size() >= 2 && token[0] == '0' && (token[1] == 'x' || token[1] == 'X')) {
-    token.remove_prefix(2);
-  }
-  return token;
-}
-
-/// Digit-level validity shared by both loops: empty payloads (a bare "0x")
-/// and non-hex digits are rejected before any width/parse logic runs, so
-/// every malformed operand fails in one place with one message shape.
-/// Returns the reason, or an empty string for a well-formed payload.
-[[nodiscard]] std::string payload_error(std::string_view payload)
-{
-  if (payload.empty()) {
-    return "empty hex payload";
-  }
-  for (const char c : payload) {
-    if (!is_hex_digit(c)) {
-      return std::string{"invalid hex digit '"} + c + "'";
-    }
-  }
-  return {};
-}
-
-/// The one canonical err shape for malformed operands in both loops.
-[[nodiscard]] std::string operand_err(const std::string& token, const std::string& reason)
-{
-  return "err operand '" + token + "': " + reason;
-}
-
-/// Parses the `<n>` of a `lookup@<n>` / `mlookup@<n>` width override:
-/// decimal digits only, 0 <= n <= kMaxVars. Returns -1 on anything else.
-[[nodiscard]] int parse_width_override(std::string_view suffix) noexcept
-{
-  if (suffix.empty() || suffix.size() > 2) {
-    return -1;
-  }
-  int value = 0;
-  for (const char c : suffix) {
-    if (c < '0' || c > '9') {
-      return -1;
-    }
-    value = value * 10 + (c - '0');
-  }
-  return value <= kMaxVars ? value : -1;
-}
-
-/// Reads one request line (up to '\n'); false only at end of input with
-/// nothing read. Lines longer than kMaxRequestLineBytes set `overflow` and
-/// the excess is consumed and discarded, so a hostile client cannot balloon
-/// the serving process by withholding a newline.
-bool read_request_line(std::istream& in, std::string& line, bool& overflow)
-{
-  line.clear();
-  overflow = false;
-  std::streambuf* buf = in.rdbuf();
-  using Traits = std::char_traits<char>;
-  bool read_any = false;
-  for (int ch = buf->sbumpc(); ch != Traits::eof(); ch = buf->sbumpc()) {
-    read_any = true;
-    if (ch == '\n') {
-      return true;
-    }
-    if (line.size() < kMaxRequestLineBytes) {
-      line.push_back(static_cast<char>(ch));
-    } else {
-      overflow = true;
-    }
-  }
-  if (!read_any) {
-    in.setstate(std::ios::eofbit);
-  }
-  return read_any;
-}
-
-/// Splits the rest of a request into whitespace-separated operands.
-std::vector<std::string> read_operands(std::istringstream& request)
-{
-  std::vector<std::string> operands;
-  std::string token;
-  while (request >> token) {
-    operands.push_back(std::move(token));
-  }
-  return operands;
-}
-
-/// Trims and comment-strips one request line; false = skip it.
-bool normalize_request(const std::string& line, std::string& request)
-{
-  const auto begin = line.find_first_not_of(" \t\r");
-  if (begin == std::string::npos || line[begin] == '#') {
-    return false;
-  }
-  const auto end = line.find_last_not_of(" \t\r");
-  request = line.substr(begin, end - begin + 1);
-  return true;
-}
-
-/// The verbs `facet_serve_request_latency{verb=...}` distinguishes. kOther
-/// absorbs unknown commands (protocol errors still cost time worth seeing).
-constexpr std::array<const char*, 7> kVerbNames{"lookup", "mlookup", "info",
-                                                "stats",  "metrics", "quit", "other"};
-
-/// Microseconds with one decimal, for the stats-all p50/p99 columns (sub-us
+/// Microseconds with one decimal, for the stats p50/p99 columns (sub-us
 /// request latencies must not flatten to 0).
 [[nodiscard]] std::string format_us(double ns)
 {
@@ -198,387 +79,23 @@ constexpr std::array<const char*, 7> kVerbNames{"lookup", "mlookup", "info",
 
 }  // namespace
 
+obs::LatencyHistogram& serve_frame_latency(const char* verb)
+{
+  return obs::MetricRegistry::global().histogram(
+      "facet_serve_frame_latency", obs::label("proto", "v2") + "," + obs::label("verb", verb));
+}
+
 ServeDispatcher::ServeDispatcher(ClassStore* store, StoreRouter* router,
                                  const ServeOptions& options)
     : store_{store}, router_{router}, options_{options}
 {
   if (options_.aggregate == nullptr) {
-    // A standalone (stdin) session is its own aggregate, so `stats all`
-    // always answers something meaningful.
+    // A standalone session is its own aggregate, so `stats` always answers
+    // something meaningful.
     local_aggregate_.connections_active.store(1);
     local_aggregate_.connections_total.store(1);
     options_.aggregate = &local_aggregate_;
   }
-  // Pre-resolve every per-verb latency handle once: the per-request path
-  // then costs two tick reads and one relaxed add, never the registry
-  // mutex.
-  auto& registry = obs::MetricRegistry::global();
-  for (std::size_t v = 0; v < kVerbNames.size(); ++v) {
-    request_latency_[v] =
-        &registry.histogram("facet_serve_request_latency", obs::label("verb", kVerbNames[v]));
-  }
-  batch_size_ = &registry.histogram("facet_serve_batch_size", obs::label("verb", "mlookup"));
-}
-
-ServeStats ServeDispatcher::run(std::istream& in, std::ostream& out)
-{
-  std::string line;
-  bool overflow = false;
-  while (read_request_line(in, line, overflow)) {
-    if (overflow) {
-      handle_oversized_line(out);
-      continue;
-    }
-    if (!handle_request_line(line, out)) {
-      break;
-    }
-  }
-  flush_on_exit();
-  sync_aggregate();
-  return stats_.snapshot();
-}
-
-void ServeDispatcher::handle_oversized_line(std::ostream& out)
-{
-  stats_.requests.fetch_add(1, std::memory_order_relaxed);
-  stats_.errors.fetch_add(1, std::memory_order_relaxed);
-  out << "err request line exceeds " << kMaxRequestLineBytes << " bytes\n" << std::flush;
-  sync_aggregate();
-}
-
-bool ServeDispatcher::handle_request_line(const std::string& line, std::ostream& out)
-{
-  std::string trimmed;
-  if (!normalize_request(line, trimmed)) {
-    return true;
-  }
-  stats_.requests.fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t t0 = obs::now_ticks();
-  verb_ = Verb::kOther;
-  request_width_ = -1;
-  request_src_ = nullptr;
-  const bool keep_serving = handle(trimmed, out);
-  finish_request(t0);
-  sync_aggregate();
-  return keep_serving;
-}
-
-/// Handles one normalized request line; false ends the session (quit).
-bool ServeDispatcher::handle(const std::string& trimmed, std::ostream& out)
-{
-  std::istringstream request{trimmed};
-  std::string command;
-  request >> command;
-
-  if (command == "quit") {
-    verb_ = Verb::kQuit;
-    // Flush *before* answering, so a client that reads the response knows
-    // its appends are durable in the delta log.
-    const bool report_flush = flush_configured();
-    const std::size_t flushed = flush_on_exit();
-    if (report_flush) {
-      out << "ok bye flushed=" << flushed << "\n" << std::flush;
-    } else {
-      out << "ok bye\n" << std::flush;
-    }
-    return false;
-  }
-  if (command == "info") {
-    verb_ = Verb::kInfo;
-    emit_info(out);
-    return true;
-  }
-  if (command == "metrics") {
-    verb_ = Verb::kMetrics;
-    if (!read_operands(request).empty()) {
-      stats_.errors.fetch_add(1, std::memory_order_relaxed);
-      out << "err metrics takes no argument\n" << std::flush;
-      return true;
-    }
-    emit_metrics(out);
-    return true;
-  }
-  if (command == "stats") {
-    verb_ = Verb::kStats;
-    const std::vector<std::string> operands = read_operands(request);
-    if (operands.size() == 1 && operands.front() == "all") {
-      emit_stats_all(out);
-      return true;
-    }
-    if (!operands.empty()) {
-      stats_.errors.fetch_add(1, std::memory_order_relaxed);
-      out << "err stats takes no argument or 'all'\n" << std::flush;
-      return true;
-    }
-    emit_stats(out);
-    return true;
-  }
-  // `lookup@<n>` / `mlookup@<n>` pin the operand width to n instead of
-  // inferring it from the digit count — the only way to reach a width-0/1
-  // store through a router, since a single nibble infers n = 2.
-  std::string base = command;
-  int width_override = -1;
-  if (const auto at = command.find('@'); at != std::string::npos) {
-    const std::string head = command.substr(0, at);
-    if (head == "lookup" || head == "mlookup") {
-      width_override = parse_width_override(std::string_view{command}.substr(at + 1));
-      if (width_override < 0) {
-        stats_.errors.fetch_add(1, std::memory_order_relaxed);
-        out << "err bad width in '" << command << "' (use " << head << "@<n>, 0 <= n <= "
-            << kMaxVars << ")\n"
-            << std::flush;
-        return true;
-      }
-      base = head;
-    }
-  }
-  if (base == "lookup") {
-    verb_ = Verb::kLookup;
-    const std::vector<std::string> operands = read_operands(request);
-    if (operands.size() != 1) {
-      stats_.errors.fetch_add(1, std::memory_order_relaxed);
-      out << "err lookup takes exactly one hex truth table\n" << std::flush;
-      return true;
-    }
-    out << resolve_operand(operands.front(), width_override) << "\n" << std::flush;
-    return true;
-  }
-  if (base == "mlookup") {
-    verb_ = Verb::kMlookup;
-    const std::vector<std::string> operands = read_operands(request);
-    if (operands.empty()) {
-      stats_.errors.fetch_add(1, std::memory_order_relaxed);
-      out << "err mlookup takes one or more hex truth tables\n" << std::flush;
-      return true;
-    }
-    batch_size_->record_ns(operands.size());
-    // One response line per operand, one flush per batch: pipelined
-    // clients pay the flush latency once instead of per function. An err
-    // on one operand answers in place; the batch always completes.
-    for (const auto& hex : operands) {
-      out << resolve_operand(hex, width_override) << "\n";
-    }
-    out << std::flush;
-    return true;
-  }
-  stats_.errors.fetch_add(1, std::memory_order_relaxed);
-  out << "err unknown command '" << command << "' (lookup|mlookup|info|stats|metrics|quit)\n"
-      << std::flush;
-  return true;
-}
-
-/// Resolves one hex operand end to end: digit validation, width
-/// inference/override/check, store dispatch, tiered lookup. Returns the
-/// response line without its newline; malformed operands answer the
-/// canonical `err operand '<token>': <reason>` shape and never throw.
-/// `width_override` >= 0 pins the operand width (lookup@<n>).
-std::string ServeDispatcher::resolve_operand(const std::string& token, int width_override)
-{
-  const std::string_view payload = hex_payload(token);
-  if (std::string reason = payload_error(payload); !reason.empty()) {
-    stats_.errors.fetch_add(1, std::memory_order_relaxed);
-    return operand_err(token, reason);
-  }
-
-  ClassStore* store = store_;
-  if (width_override >= 0) {
-    const std::size_t expected =
-        std::max<std::size_t>(1, (std::size_t{1} << width_override) / 4);
-    if (payload.size() != expected) {
-      stats_.errors.fetch_add(1, std::memory_order_relaxed);
-      std::ostringstream reason;
-      reason << "expected " << expected << " hex digits for " << width_override
-             << " variables, got " << payload.size();
-      return operand_err(token, reason.str());
-    }
-    if (router_ != nullptr) {
-      store = router_->store_for(width_override);
-      if (store == nullptr) {
-        stats_.errors.fetch_add(1, std::memory_order_relaxed);
-        std::ostringstream line;
-        line << "err no store routes width " << width_override;
-        return line.str();
-      }
-    } else if (store->num_vars() != width_override) {
-      stats_.errors.fetch_add(1, std::memory_order_relaxed);
-      std::ostringstream line;
-      line << "err store serves width " << store->num_vars() << ", not " << width_override;
-      return line.str();
-    }
-  } else if (router_ != nullptr) {
-    const int width = hex_operand_width(token);
-    if (width < 0) {
-      stats_.errors.fetch_add(1, std::memory_order_relaxed);
-      std::ostringstream reason;
-      reason << "digit count " << payload.size()
-             << " maps to no function width (must be a power of two, n <= " << kMaxVars << ")";
-      return operand_err(token, reason.str());
-    }
-    if (payload.size() == 1) {
-      // A single nibble names up to three widths (n = 0, 1, 2 all
-      // serialize as one digit) — resolve it against every routed
-      // candidate instead of hard-wiring n = 2.
-      return resolve_single_nibble(token, payload);
-    }
-    store = router_->store_for(width);
-    if (store == nullptr) {
-      stats_.errors.fetch_add(1, std::memory_order_relaxed);
-      std::ostringstream line;
-      line << "err no store routes width " << width;
-      return line.str();
-    }
-  } else {
-    const std::size_t expected =
-        std::max<std::size_t>(1, (std::size_t{1} << store->num_vars()) / 4);
-    if (payload.size() != expected) {
-      stats_.errors.fetch_add(1, std::memory_order_relaxed);
-      std::ostringstream reason;
-      reason << "expected " << expected << " hex digits for " << store->num_vars()
-             << " variables, got " << payload.size();
-      return operand_err(token, reason.str());
-    }
-  }
-
-  try {
-    const TruthTable query = from_hex(store->num_vars(), token);
-    return lookup_line(*store, query);
-  } catch (const std::exception& e) {
-    stats_.errors.fetch_add(1, std::memory_order_relaxed);
-    return operand_err(token, e.what());
-  }
-}
-
-namespace {
-
-/// Hex value of one already-validated nibble.
-[[nodiscard]] unsigned nibble_value(char c) noexcept
-{
-  if (c >= '0' && c <= '9') {
-    return static_cast<unsigned>(c - '0');
-  }
-  return static_cast<unsigned>((c >= 'a' ? c - 'a' : c - 'A') + 10);
-}
-
-}  // namespace
-
-/// A single-nibble operand with no width override names up to three
-/// widths: n = 0, 1 and 2 all serialize as one hex digit. Resolve it
-/// against every routed width that can encode the digit (value <
-/// 2^(2^n)): one candidate answers directly through the normal tier
-/// stack; several candidates answer only when every read-only probe
-/// names the SAME answer — equal class id, representative hex and known
-/// flag — rendered once, at the smallest width (the transform is
-/// width-specific, so the line itself cannot be compared). A
-/// disagreement — or no routed candidate at all — answers err with a
-/// lookup@<n> hint.
-std::string ServeDispatcher::resolve_single_nibble(const std::string& token,
-                                                   std::string_view payload)
-{
-  const unsigned value = nibble_value(payload.front());
-  std::vector<int> candidates;
-  for (int n = 0; n <= 2; ++n) {
-    if (value < (1u << (1u << static_cast<unsigned>(n))) &&
-        router_->store_for(n) != nullptr) {
-      candidates.push_back(n);
-    }
-  }
-  if (candidates.empty()) {
-    stats_.errors.fetch_add(1, std::memory_order_relaxed);
-    return "err no store routes width 2 (a single hex digit infers n=2; widths 0 and 1"
-           " also encode as one digit — pin the width with lookup@<n>)";
-  }
-  if (candidates.size() == 1) {
-    ClassStore& store = *router_->store_for(candidates.front());
-    try {
-      return lookup_line(store, from_hex(store.num_vars(), token));
-    } catch (const std::exception& e) {
-      stats_.errors.fetch_add(1, std::memory_order_relaxed);
-      return operand_err(token, e.what());
-    }
-  }
-  // Several routed widths can encode the digit: probe each read-only —
-  // an ambiguous nibble must never classify live or append — and answer
-  // only a unanimous response.
-  std::optional<StoreLookupResult> first;
-  bool unanimous = true;
-  for (const int n : candidates) {
-    ClassStore& store = *router_->store_for(n);
-    const auto hit = store.lookup(from_hex(n, token));
-    if (!hit.has_value()) {
-      unanimous = false;
-      break;
-    }
-    if (!first.has_value()) {
-      first = *hit;
-      continue;
-    }
-    if (hit->class_id != first->class_id ||
-        to_hex(hit->representative) != to_hex(first->representative) ||
-        hit->known != first->known) {
-      unanimous = false;
-      break;
-    }
-  }
-  if (unanimous) {
-    const int width = candidates.front();
-    count_source(stats_, first->source);
-    stats_.lookups.fetch_add(1, std::memory_order_relaxed);
-    count_width(width, *first, options_.append_on_miss && !options_.readonly);
-    request_width_ = width;
-    request_src_ = lookup_source_name(first->source);
-    std::ostringstream line;
-    line << "ok id=" << first->class_id << " rep=" << to_hex(first->representative)
-         << " t=" << transform_to_compact(first->to_representative)
-         << " src=" << lookup_source_name(first->source) << " known=" << (first->known ? 1 : 0);
-    return line.str();
-  }
-  stats_.errors.fetch_add(1, std::memory_order_relaxed);
-  std::ostringstream line;
-  line << "err operand '" << token << "': ambiguous single nibble (widths";
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    line << (i == 0 ? " " : ",") << candidates[i];
-  }
-  line << " are routed and answer differently — pin the width with lookup@<n>)";
-  return line.str();
-}
-
-/// The tiered lookup of one parsed query, delegated wholesale to the
-/// store (hot cache -> semiclass memo -> index -> live): a cache or memo
-/// hit never canonicalizes, and a genuine miss canonicalizes exactly once
-/// — in this thread, inside the store but before its mutation gate — so a
-/// cold query never stalls other connections. (The session must NOT probe
-/// the cache and canonicalize on its own: that is precisely the
-/// double-canonicalization the memo tier removes from the miss path.)
-std::string ServeDispatcher::lookup_line(ClassStore& store, const TruthTable& query)
-{
-  StoreLookupResult result;
-  if (options_.readonly) {
-    const auto hit = store.lookup(query);
-    if (!hit.has_value()) {
-      stats_.errors.fetch_add(1, std::memory_order_relaxed);
-      return "err unknown function (readonly session)";
-    }
-    result = *hit;
-  } else {
-    // One call resolves both outcomes: known classes through the
-    // gate-free tiers, genuine misses through the gated live tier — a
-    // separate lookup first would just repeat the index search on every
-    // miss.
-    result = store.lookup_or_classify(query, options_.append_on_miss);
-  }
-
-  count_source(stats_, result.source);
-  stats_.lookups.fetch_add(1, std::memory_order_relaxed);
-  count_width(store.num_vars(), result, options_.append_on_miss && !options_.readonly);
-  // Last resolved operand of this request — what a slow-request log line
-  // names as the width/tier that hurt.
-  request_width_ = store.num_vars();
-  request_src_ = lookup_source_name(result.source);
-  std::ostringstream line;
-  line << "ok id=" << result.class_id << " rep=" << to_hex(result.representative)
-       << " t=" << transform_to_compact(result.to_representative)
-       << " src=" << lookup_source_name(result.source) << " known=" << (result.known ? 1 : 0);
-  return line.str();
 }
 
 ClassStore* ServeDispatcher::store_for_width(int width) noexcept
@@ -615,7 +132,7 @@ std::optional<StoreLookupResult> ServeDispatcher::lookup_binary(ClassStore& stor
 }
 
 /// Bumps the aggregate's per-width row for one answered lookup (the
-/// `stats all` width rows). Direct relaxed increments — no sync step.
+/// `stats` width rows). Direct relaxed increments — no sync step.
 /// `append_policy` is the effective per-request append policy: a live
 /// answer under it is exactly an appended record.
 void ServeDispatcher::count_width(int width, const StoreLookupResult& result, bool append_policy)
@@ -631,63 +148,26 @@ void ServeDispatcher::count_width(int width, const StoreLookupResult& result, bo
   }
 }
 
-void ServeDispatcher::emit_info(std::ostream& out)
-{
-  if (router_ != nullptr) {
-    out << "ok widths=";
-    const std::vector<int> widths = router_->widths();
-    for (std::size_t i = 0; i < widths.size(); ++i) {
-      out << (i == 0 ? "" : ",") << widths[i];
-    }
-    out << " stores=" << router_->num_stores() << " records=" << router_->num_records()
-        << " classes=" << router_->num_classes()
-        << " cache_entries=" << router_->hot_cache_entries() << "\n"
-        << std::flush;
-    return;
-  }
-  out << "ok n=" << store_->num_vars() << " records=" << store_->num_records()
-      << " appended=" << store_->num_appended() << " deltas=" << store_->num_delta_segments()
-      << " classes=" << store_->num_classes()
-      << " cache_entries=" << store_->hot_cache_stats().entries << "\n"
-      << std::flush;
-}
-
-void ServeDispatcher::emit_stats(std::ostream& out)
-{
-  std::size_t appended = 0;
-  if (router_ != nullptr) {
-    for (const int width : router_->widths()) {
-      appended += router_->store_for(width)->num_appended();
-    }
-  } else {
-    appended = store_->num_appended();
-  }
-  const ServeStats stats = stats_.snapshot();
-  out << "ok requests=" << stats.requests << " lookups=" << stats.lookups
-      << " cache_hits=" << stats.cache_hits << " memo_hits=" << stats.memo_hits
-      << " table_hits=" << stats.table_hits << " index_hits=" << stats.index_hits
-      << " live=" << stats.live << " appended=" << appended << " errors=" << stats.errors
-      << "\n"
-      << std::flush;
-}
-
-/// The widths this session serves, ascending — the `stats all` rows.
+/// The widths this session serves, ascending — the `stats` rows.
 std::vector<int> ServeDispatcher::served_widths() const
 {
   return router_ != nullptr ? router_->widths() : std::vector<int>{store_->num_vars()};
 }
 
-void ServeDispatcher::emit_stats_all(std::ostream& out)
+std::string ServeDispatcher::stats_all_text()
 {
   sync_aggregate();  // make this session's own numbers visible
   const ServeAggregateSnapshot agg = options_.aggregate->snapshot();
   const std::vector<int> widths = served_widths();
-  // Process-wide request-latency quantiles over the lookup verbs (the
-  // telemetry histograms the `metrics` verb also exposes). `widths=` must
-  // stay the LAST field: clients key row-count parsing off it.
-  obs::HistogramSnapshot requests =
-      request_latency_[static_cast<std::size_t>(Verb::kLookup)]->snapshot();
-  requests.merge(request_latency_[static_cast<std::size_t>(Verb::kMlookup)]->snapshot());
+  // Process-wide request-latency quantiles over the lookup and append
+  // frames (the telemetry histograms the `metrics` verb also exposes).
+  // `widths=` must stay the LAST field: clients key row-count parsing off
+  // it.
+  static obs::LatencyHistogram& lookup_latency = serve_frame_latency("lookup");
+  static obs::LatencyHistogram& append_latency = serve_frame_latency("append");
+  obs::HistogramSnapshot requests = lookup_latency.snapshot();
+  requests.merge(append_latency.snapshot());
+  std::ostringstream out;
   out << "ok connections=" << agg.connections_active << " sessions=" << agg.connections_total
       << " requests=" << agg.requests << " lookups=" << agg.lookups
       << " cache_hits=" << agg.cache_hits << " memo_hits=" << agg.memo_hits
@@ -710,26 +190,11 @@ void ServeDispatcher::emit_stats_all(std::ostream& out)
         << " table_hits=" << row.table_hits << " index_hits=" << row.index_hits
         << " live=" << row.live << " appended=" << row.appended << "\n";
   }
-  out << std::flush;
-}
-
-std::string ServeDispatcher::stats_all_text()
-{
-  std::ostringstream out;
-  emit_stats_all(out);
   return out.str();
 }
 
 /// The `metrics` verb: refresh the state-derived gauges from the served
-/// stores, then emit the whole registry as Prometheus text, framed with a
-/// line count so protocol clients know exactly how much to read.
-void ServeDispatcher::emit_metrics(std::ostream& out)
-{
-  const std::string text = metrics_text();
-  const auto lines = static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n'));
-  out << "ok metrics lines=" << lines << "\n" << text << std::flush;
-}
-
+/// stores, then emit the whole registry as Prometheus text.
 std::string ServeDispatcher::metrics_text()
 {
   refresh_store_gauges();
@@ -759,31 +224,6 @@ void ServeDispatcher::refresh_store_gauges()
   }
 }
 
-/// Records the finished request into its verb's latency series and emits
-/// the slow-request line when a threshold is configured.
-void ServeDispatcher::finish_request(std::uint64_t start_ticks)
-{
-  const std::uint64_t ns = obs::ticks_to_ns(obs::now_ticks() - start_ticks);
-  request_latency_[static_cast<std::size_t>(verb_)]->record_ns(ns);
-  if (options_.slow_request_us == 0 || ns / 1000 < options_.slow_request_us) {
-    return;
-  }
-  std::ostream& log = options_.slow_log != nullptr ? *options_.slow_log : std::cerr;
-  log << "facet-serve: slow verb=" << kVerbNames[static_cast<std::size_t>(verb_)] << " width=";
-  if (request_width_ >= 0) {
-    log << request_width_;
-  } else {
-    log << '-';
-  }
-  log << " src=" << (request_src_ != nullptr ? request_src_ : "-") << " us=" << ns / 1000
-      << "\n";
-}
-
-bool ServeDispatcher::flush_configured() const noexcept
-{
-  return router_ != nullptr ? !options_.dlog_paths.empty() : !options_.dlog_path.empty();
-}
-
 /// Seals the session's appends into the configured delta log(s) — once;
 /// both the quit path and the end-of-input path land here, so appends
 /// survive a client that drops the connection without a clean quit.
@@ -791,8 +231,7 @@ bool ServeDispatcher::flush_configured() const noexcept
 /// different widths flush independently.
 std::size_t ServeDispatcher::flush_on_exit()
 {
-  if (exit_flushed_ || !flush_configured()) {
-    exit_flushed_ = true;
+  if (exit_flushed_) {
     return 0;
   }
   exit_flushed_ = true;
@@ -803,7 +242,7 @@ std::size_t ServeDispatcher::flush_on_exit()
         flushed += store->flush_delta(dlog_path);
       }
     }
-  } else {
+  } else if (!options_.dlog_path.empty()) {
     flushed += store_->flush_delta(options_.dlog_path);
   }
   stats_.flushed.fetch_add(flushed, std::memory_order_relaxed);
@@ -821,7 +260,7 @@ void ServeDispatcher::count_error() noexcept
 }
 
 /// Adds this session's not-yet-reported counter increments to the shared
-/// aggregate (atomic, no lock), so `stats all` on any connection sees
+/// aggregate (atomic, no lock), so `stats` on any connection sees
 /// every session's traffic.
 void ServeDispatcher::sync_aggregate()
 {
@@ -837,47 +276,6 @@ void ServeDispatcher::sync_aggregate()
   agg.errors += stats.errors - synced_.errors;
   agg.flushed_records += stats.flushed - synced_.flushed;
   synced_ = stats;
-}
-
-int hex_operand_width(const std::string& hex) noexcept
-{
-  const std::string_view payload = hex_payload(hex);
-  std::size_t digits = payload.size();
-  if (digits == 0) {
-    return -1;
-  }
-  for (const char c : payload) {
-    if (!is_hex_digit(c)) {
-      return -1;
-    }
-  }
-  if (digits == 1) {
-    return 2;  // a single nibble: n <= 2 all serialize as one digit
-  }
-  // digits must be a power of two: 2^n bits = 4 * digits, n = log2(digits) + 2.
-  if ((digits & (digits - 1)) != 0) {
-    return -1;
-  }
-  int width = 2;
-  while (digits > 1) {
-    digits >>= 1;
-    ++width;
-  }
-  return width <= kMaxVars ? width : -1;
-}
-
-ServeStats serve_loop(ClassStore& store, std::istream& in, std::ostream& out,
-                      const ServeOptions& options)
-{
-  ServeDispatcher session{&store, nullptr, options};
-  return session.run(in, out);
-}
-
-ServeStats serve_router_loop(StoreRouter& router, std::istream& in, std::ostream& out,
-                             const ServeOptions& options)
-{
-  ServeDispatcher session{nullptr, &router, options};
-  return session.run(in, out);
 }
 
 }  // namespace facet

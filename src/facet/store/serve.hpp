@@ -1,85 +1,42 @@
 /// \file serve.hpp
-/// \brief Long-lived line-protocol sessions serving class stores over streams.
+/// \brief The transport-independent core of a serve session: verb semantics,
+///        per-session counters and the process-wide aggregate.
 ///
-/// `facet_cli serve` runs these loops over stdin/stdout, and the network
-/// listener (net/server.hpp) runs the same protocol per accepted socket, so
-/// other processes (a mapper, a test harness, a fleet of remote clients) can
-/// drive a store without re-loading the index per query. One request per
-/// line:
+/// `facet_cli serve --listen/--unix` (net/server.hpp) runs one
+/// ServeDispatcher per accepted connection behind a protocol v2
+/// FrameSession (net/frame.hpp), so other processes (a mapper, a test
+/// harness, a fleet of remote clients) drive a store without re-loading the
+/// index per query. The dispatcher answers the v2 verbs:
 ///
-///   lookup <hex>        ->  ok id=<id> rep=<hex> t=<compact-transform>
-///                              src=<cache|memo|table|index|live> known=<0|1>
-///   lookup@<n> <hex>    ->  same, with the operand's width pinned to n
-///                              instead of inferred from its digit count —
-///                              a guard against digit-count typos on any
-///                              width, and the explicit way to name one
-///                              width of a single-nibble operand (see
-///                              below).
-///   mlookup <hex>...    ->  one lookup-response line per operand, flushed
-///                              once at the end of the batch — pipelined
-///                              clients stop paying per-line flush latency.
-///                              An err on one operand answers in place and
-///                              never aborts the rest of the batch.
-///   mlookup@<n> <hex>...->  the batched form of lookup@<n>.
-///   info                ->  ok n=<n> records=<r> appended=<a> deltas=<d>
-///                              classes=<c> cache_entries=<e>
-///   stats               ->  ok requests=<q> lookups=<k> cache_hits=<h>
-///                              memo_hits=<m> table_hits=<t> index_hits=<i>
-///                              live=<l> appended=<a> errors=<e>
-///                              (this session)
-///   stats all           ->  ok connections=<active> sessions=<total>
-///                              requests=... lookups=... cache_hits=...
-///                              memo_hits=... table_hits=... index_hits=...
-///                              live=... errors=... flushed=<f>
-///                              compactions=<c>
-///                              compacted_runs=<r> compacted_records=<k>
-///                              compact_bytes=<b> last_compact_ms=<t>
-///                              p50_us=<p> p99_us=<q> widths=<w>
-///                           (compact_bytes/last_compact_ms describe the
-///                              background compactor: delta-log bytes folded
-///                              away and the last compaction's duration;
-///                              p50/p99 are process-wide lookup+mlookup
-///                              request latencies from the telemetry
-///                              histograms. `widths=` stays LAST.)
-///                           followed by <w> per-width rows, one per served
-///                              store (ascending width), so fleet operators
-///                              see which widths run hot:
-///                           ok width=<n> lookups=<k> cache_hits=<h>
-///                              memo_hits=<m> table_hits=<t> index_hits=<i>
-///                              live=<l> appended=<a>
-///                              (aggregated across every session of the
-///                               process; equals the session numbers for a
-///                               stdin session)
-///   metrics             ->  ok metrics lines=<k>
-///                           followed by exactly k lines of Prometheus text
-///                              exposition (obs/registry.hpp): every
-///                              registered series of the process — per-tier
-///                              store lookup latency, per-verb request
-///                              latency, compaction phase durations,
-///                              canonicalizer latency, connection/store
-///                              gauges. Payload lines never start with
-///                              "ok"/"err", so line-protocol clients stay
-///                              parseable.
-///   quit                ->  ok bye                  (loop returns)
-///                           ok bye flushed=<k>      (when a delta-log path
-///                              is configured: appends are flushed to the
-///                              log *before* the response, so a client that
-///                              reads it knows its appends are durable)
+///   lookup   pure gate-free read (lookup_binary with append = false): a
+///            function the store has never seen is a miss, never classified
+///   append   the store's full miss path: novel classes classify live and
+///            append (refused on a readonly process)
+///   stats    stats_all_text — the aggregate line and per-width rows:
 ///
-/// `serve_loop` serves one single-width ClassStore. `serve_router_loop`
-/// serves a StoreRouter — one session answering mixed-width queries, with
-/// each operand's width inferred from its hex digit count (2^n bits = 4 *
-/// digits) unless the request pins it with `lookup@<n>`, so a mapper can
-/// stream n=3..8 cut functions down one pipe. A single-nibble operand names
-/// up to three widths (n = 0, 1, 2 all serialize as one digit); the router
-/// resolves it against every routed width that can encode the digit — one
-/// candidate answers directly, several answer only when their responses
-/// agree, and a genuine disagreement (or zero candidates) answers `err`
-/// telling the client to pin with lookup@<n>. Its `info` line reports the
-/// routed widths:
+///              ok connections=<active> sessions=<total> requests=<q>
+///                 lookups=<k> cache_hits=<h> memo_hits=<m> table_hits=<t>
+///                 index_hits=<i> live=<l> errors=<e> flushed=<f>
+///                 compactions=<c> compacted_runs=<r> compacted_records=<k>
+///                 compact_bytes=<b> last_compact_ms=<t> p50_us=<p>
+///                 p99_us=<q> widths=<w>
+///              ok width=<n> lookups=<k> cache_hits=<h> memo_hits=<m>
+///                 table_hits=<t> index_hits=<i> live=<l> appended=<a>
 ///
-///   info                ->  ok widths=<w1,w2,...> stores=<s> records=<r>
-///                              classes=<c> cache_entries=<e>
+///            (one width row per served store, ascending; `widths=` stays
+///            the LAST field of the aggregate line. compact_bytes and
+///            last_compact_ms describe the background compactor; p50/p99
+///            are process-wide lookup+append frame latencies from the
+///            facet_serve_frame_latency{proto="v2"} histograms.)
+///   metrics  metrics_text — the Prometheus exposition of the whole
+///            registry (obs/registry.hpp), store gauges refreshed
+///   quit     flush_on_exit: appends are sealed into the delta log BEFORE
+///            the response, so a client that reads it knows they are
+///            durable
+///
+/// A session that ends without `quit` (EOF, idle expiry, server drain)
+/// flushes its appends exactly like `quit`, so a dropped connection never
+/// silently loses appended classes.
 ///
 /// ## Concurrency
 ///
@@ -93,26 +50,8 @@
 /// session thread; exact canonicalization — the expensive step of a
 /// genuinely novel query — runs before any store gate is involved, and
 /// table/memo hits skip it entirely.
-/// Session counters and the process-wide aggregate are atomics; `stats all`
+/// Session counters and the process-wide aggregate are atomics; `stats`
 /// snapshots them with relaxed loads.
-///
-/// Hardening (the same code path serves untrusted network clients):
-///
-///   * Blank lines and `#` comments are ignored; CRLF line endings and
-///     surrounding whitespace are stripped.
-///   * Any malformed request answers `err <message>` and the loop continues.
-///     A malformed hex operand — invalid digit, bad digit count, empty
-///     `0x` payload — answers one canonical shape in both loops:
-///     `err operand '<token>': <reason>`.
-///   * Request lines are capped at kMaxRequestLineBytes; an oversized line
-///     is consumed and answered with a single `err` instead of buffering
-///     unbounded input.
-///   * A session that ends via EOF flushes its appends exactly like `quit`
-///     (when a delta-log path is configured), so a dropped connection never
-///     silently loses appended classes.
-///
-/// The compact transform rendering is documented in store_format.hpp
-/// (transform_to_compact).
 
 #pragma once
 
@@ -123,7 +62,6 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "facet/store/class_store.hpp"
@@ -135,28 +73,22 @@ namespace obs {
 class LatencyHistogram;
 }  // namespace obs
 
-/// Longest accepted request line (bytes, excluding the newline). Large
-/// enough for multi-thousand-operand mlookup batches, small enough that a
-/// hostile client cannot balloon the server by never sending a newline.
-inline constexpr std::size_t kMaxRequestLineBytes = 1u << 20;
-
-/// Plain-value session counters — what serve_loop/serve_router_loop return
-/// and what `stats` reports. Also the snapshot type of the atomic counter
-/// blocks below.
+/// Plain-value session counters — the snapshot type of the atomic counter
+/// block below.
 struct ServeStats {
-  std::uint64_t requests = 0;    ///< non-blank, non-comment request lines
-  std::uint64_t lookups = 0;     ///< lookup/mlookup operands answered ok
+  std::uint64_t requests = 0;    ///< request frames
+  std::uint64_t lookups = 0;     ///< lookup/append operands answered
   std::uint64_t cache_hits = 0;  ///< answered from the hot cache
   std::uint64_t memo_hits = 0;   ///< answered from the semiclass memo
   std::uint64_t table_hits = 0;  ///< answered from the NPN4 norm table
   std::uint64_t index_hits = 0;  ///< answered from the persisted index
   std::uint64_t live = 0;        ///< fell back to live classification
-  std::uint64_t errors = 0;      ///< `err` responses
+  std::uint64_t errors = 0;      ///< err responses
   std::uint64_t flushed = 0;     ///< appended records flushed on session exit
 };
 
 /// One session's counters as atomics: the session thread increments them
-/// mid-request while another thread (a `stats all` on a different
+/// mid-request while another thread (a `stats` on a different
 /// connection, the server's shutdown report) snapshots — without the
 /// process-wide lock that used to serialize these, plain ints would be
 /// torn-read UB.
@@ -232,7 +164,7 @@ struct ServeAggregateSnapshot {
 };
 
 /// Process-wide counters shared by every serve session (and the background
-/// compactor) of one serving process — the numbers behind `stats all`. All
+/// compactor) of one serving process — the numbers behind `stats`. All
 /// fields are atomics: sessions on different connections bump them without
 /// coordination.
 struct ServeAggregateStats {
@@ -263,34 +195,31 @@ struct ServeAggregateStats {
 };
 
 struct ServeOptions {
-  /// Persist unknown classes into the store (lookup_or_classify append tier).
-  bool append_on_miss = false;
-
-  /// Serve reads only: misses answer `err` instead of classifying live, and
-  /// appends never happen — the fleet fan-out mode where many processes
-  /// share one index read-only. Overrides append_on_miss.
+  /// Serve reads only: `append` is refused and appends never happen — the
+  /// fleet fan-out mode where many processes share one index read-only.
   bool readonly = false;
 
-  /// When non-empty (single-store loop): the delta-log path appends are
-  /// flushed to when the session ends — on `quit` (reported as
-  /// `ok bye flushed=<k>`) and on EOF. Without it appends only persist if
-  /// the caller flushes after the loop returns.
+  /// When non-empty (single store): the delta-log path appends are flushed
+  /// to when the session ends — on `quit` (the response carries the
+  /// flushed count) and on EOF. Without it appends only persist if the
+  /// caller flushes after the session ends.
   std::string dlog_path;
 
-  /// Router-loop equivalent: width -> delta-log path.
+  /// Router equivalent: width -> delta-log path.
   std::map<int, std::string> dlog_paths;
 
   /// When set, the session also accumulates into these process-wide
-  /// counters, and `stats all` reports them. Null = `stats all` reports the
+  /// counters, and `stats` reports them. Null = `stats` reports the
   /// session's own numbers. (Sessions sharing a store need nothing else:
   /// the store gates its own mutations — class_store.hpp.)
   ServeAggregateStats* aggregate = nullptr;
 
-  /// When > 0: any request slower than this many microseconds logs one
-  /// structured line — `facet-serve: slow verb=<v> width=<n> src=<tier>
-  /// us=<t>` — to `slow_log` (stderr when null). The width/src fields
-  /// describe the request's last resolved operand ("-" for verbs without
-  /// one), so a slow mlookup names the store and tier that hurt.
+  /// When > 0: any request frame slower than this many microseconds logs
+  /// one structured line — `facet-serve: slow verb=<v> width=<n>
+  /// src=<tier> us=<t>` — to `slow_log` (stderr when null). The width is
+  /// the frame's operand width and src the tier of its last record ("-"
+  /// for verbs without operands), so a slow batch names the store and tier
+  /// that hurt.
   std::uint64_t slow_request_us = 0;
   /// Sink for slow-request lines; null = std::cerr. Tests inject a capture
   /// stream here.
@@ -299,9 +228,8 @@ struct ServeOptions {
 
 /// The transport-independent core of one serve session: verb semantics
 /// (lookup/append policy, width routing, stats/metrics rendering, exit
-/// flush, counters) shared by every protocol front end — the v1 line loops
-/// below, the network server's reactor connections, and the protocol v2
-/// frame sessions (net/frame.hpp). Exactly one of store/router is non-null.
+/// flush, counters) behind the protocol v2 frame session (net/frame.hpp).
+/// Exactly one of store/router is non-null.
 ///
 /// The dispatcher holds no lock, ever: every store access synchronizes
 /// inside ClassStore/StoreRouter (snapshot-epoch reads, a per-store
@@ -313,24 +241,6 @@ struct ServeOptions {
 class ServeDispatcher {
  public:
   ServeDispatcher(ClassStore* store, StoreRouter* router, const ServeOptions& options);
-
-  // ---- v1 line protocol -------------------------------------------------
-
-  /// The full v1 loop over streams (what serve_loop/serve_router_loop and a
-  /// stdin session run): read lines until `quit` or end of input, flush on
-  /// exit, return the session stats.
-  ServeStats run(std::istream& in, std::ostream& out);
-
-  /// Handles one raw v1 request line (newline stripped): trims, counts,
-  /// dispatches, records latency, syncs the aggregate. Returns false when
-  /// the session ends (`quit`). Blank/comment lines are skipped for free.
-  bool handle_request_line(const std::string& line, std::ostream& out);
-
-  /// The response to a line that exceeded kMaxRequestLineBytes (the caller
-  /// discards the excess and calls this instead of handle_request_line).
-  void handle_oversized_line(std::ostream& out);
-
-  // ---- shared verb semantics (protocol v2 and other front ends) ---------
 
   /// The store serving `width`, honoring routing: under a router the routed
   /// store (nullptr when the width is unrouted), standalone the single
@@ -347,26 +257,21 @@ class ServeDispatcher {
                                                                const TruthTable& query,
                                                                bool append);
 
-  /// Process-level readonly (appends refused regardless of request policy).
-  [[nodiscard]] bool readonly() const noexcept { return options_.readonly; }
+  /// The session's options (the frame session reads the readonly policy and
+  /// the slow-request threshold and sink from here).
+  [[nodiscard]] const ServeOptions& options() const noexcept { return options_; }
 
-  /// The `stats all` text block (aggregate line + per-width rows) — the v2
-  /// `stats` payload and the v1 `stats all` body share this rendering.
+  /// The `stats` payload: aggregate line + per-width rows.
   [[nodiscard]] std::string stats_all_text();
 
-  /// The Prometheus exposition of the whole registry, store gauges
-  /// refreshed — the v2 `metrics` payload (v1 adds the `ok metrics
-  /// lines=<k>` framing on top).
+  /// The `metrics` payload: the Prometheus exposition of the whole
+  /// registry, store gauges refreshed.
   [[nodiscard]] std::string metrics_text();
 
   /// Seals this session's appends into the configured delta log(s) — once;
   /// quit, EOF and connection-drop paths all land here, so appends survive
   /// a client that vanishes without a clean quit. Idempotent.
   std::size_t flush_on_exit();
-
-  /// Whether an exit flush has anywhere to go (a delta-log path is
-  /// configured for at least one served store).
-  [[nodiscard]] bool flush_configured() const noexcept;
 
   /// Bumps the session request/error counters (frame front ends count one
   /// request per frame; malformed frames also count one error).
@@ -380,22 +285,9 @@ class ServeDispatcher {
   [[nodiscard]] ServeStats session_stats() const noexcept { return stats_.snapshot(); }
 
  private:
-  enum class Verb : std::size_t { kLookup, kMlookup, kInfo, kStats, kMetrics, kQuit, kOther };
-  static constexpr std::size_t kNumVerbs = 7;
-
-  bool handle(const std::string& trimmed, std::ostream& out);
-  [[nodiscard]] std::string resolve_operand(const std::string& token, int width_override);
-  [[nodiscard]] std::string resolve_single_nibble(const std::string& token,
-                                                  std::string_view payload);
-  [[nodiscard]] std::string lookup_line(ClassStore& store, const TruthTable& query);
   void count_width(int width, const StoreLookupResult& result, bool append_policy);
-  void emit_info(std::ostream& out);
-  void emit_stats(std::ostream& out);
   [[nodiscard]] std::vector<int> served_widths() const;
-  void emit_stats_all(std::ostream& out);
-  void emit_metrics(std::ostream& out);
   void refresh_store_gauges();
-  void finish_request(std::uint64_t start_ticks);
 
   ClassStore* store_;
   StoreRouter* router_;
@@ -404,39 +296,11 @@ class ServeDispatcher {
   ServeStats synced_;
   ServeAggregateStats local_aggregate_;
   bool exit_flushed_ = false;
-
-  /// Pre-resolved `facet_serve_request_latency{verb=...}` handles, indexed
-  /// by Verb, plus the mlookup batch-size distribution (operand counts, not
-  /// ns). Stable pointers into the process registry.
-  std::array<obs::LatencyHistogram*, kNumVerbs> request_latency_{};
-  obs::LatencyHistogram* batch_size_ = nullptr;
-  /// Per-request scratch for the latency series and the slow-request log:
-  /// the verb being handled and the last resolved operand's width/tier.
-  Verb verb_ = Verb::kOther;
-  int request_width_ = -1;
-  const char* request_src_ = nullptr;
 };
 
-/// Serves `store` until `quit` or end of input; returns the session stats.
-ServeStats serve_loop(ClassStore& store, std::istream& in, std::ostream& out,
-                      const ServeOptions& options = {});
-
-/// Serves `router` (mixed widths, one session) until `quit` or end of
-/// input; returns the session stats.
-ServeStats serve_router_loop(StoreRouter& router, std::istream& in, std::ostream& out,
-                             const ServeOptions& options = {});
-
-/// Function width implied by a hex operand of the line protocol: 4 * digits
-/// = 2^n bits. One digit is genuinely ambiguous — n = 0, 1 and 2 all
-/// serialize as a single nibble — and reads as n = 2, the LARGEST width a
-/// single nibble encodes (the common case in cut streams). The router loop
-/// refines this: it resolves a single nibble against every routed width
-/// that can encode the digit, answering directly when one candidate exists
-/// (or all candidates agree) and erring with a lookup@<n> hint only on a
-/// genuine disagreement or when no candidate is routed. Returns -1
-/// for an impossible digit count or any non-hex digit — a malformed operand
-/// is rejected at width inference, not later inside parsing. The "0x"
-/// prefix is tolerated (a bare "0x" is malformed).
-[[nodiscard]] int hex_operand_width(const std::string& hex) noexcept;
+/// The `facet_serve_frame_latency{proto="v2",verb=<verb>}` series: one
+/// request frame through FrameSession::consume. `stats` reads its
+/// lookup/append quantiles; the frame session records into it.
+[[nodiscard]] obs::LatencyHistogram& serve_frame_latency(const char* verb);
 
 }  // namespace facet

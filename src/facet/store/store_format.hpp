@@ -267,7 +267,7 @@ void for_each_record_word(const StoreRecord& record, const Emit& emit)
   emit(packed[1]);
 }
 
-/// Compact single-token rendering for the line protocol and CLI output:
+/// Compact single-token rendering for CLI output:
 /// "p2,0,1:n3:o1" = perm (2,0,1), input_neg 0b011, output negated.
 [[nodiscard]] std::string transform_to_compact(const NpnTransform& t);
 

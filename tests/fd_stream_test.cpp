@@ -1,6 +1,6 @@
-/// Direct unit tests for FdStreamBuf, the std::streambuf bridge between the
-/// serve session and a POSIX fd. The serving path only exercises its happy
-/// path; these tests drive the short-read, EINTR and failed-flush corners
+/// Direct unit tests for FdStreamBuf, the std::streambuf bridge between
+/// std::iostream code and a POSIX fd. The serving path only exercises its
+/// happy path; these tests drive the short-read, EINTR and failed-flush corners
 /// on purpose: partial reads across tiny pipe writes, reads interrupted by
 /// a non-SA_RESTART signal, writes into a closed peer, and bulk transfers
 /// that outsize both the stream buffer and the socket send buffer.

@@ -2,8 +2,8 @@
 /// (lookup vs append policy, stats/metrics/quit), and the robustness matrix
 /// the wire demands — truncated frames, oversized length prefixes, garbage
 /// verb ids, bad counts, bad magic — each answering a canonical err frame
-/// and either continuing or closing, never hanging. Ends with both
-/// protocols sniffed apart on one live server port.
+/// and either continuing or closing, never hanging. Ends on a live server
+/// port: a frame client answered bit-identically, a text client refused.
 
 #include "facet/net/frame.hpp"
 
@@ -15,16 +15,11 @@
 #include <vector>
 
 #include "facet/engine/batch_engine.hpp"
-#include "facet/net/fd_stream.hpp"
 #include "facet/net/server.hpp"
 #include "facet/net/socket.hpp"
 #include "facet/store/store_builder.hpp"
 #include "facet/tt/tt_generate.hpp"
 #include "facet/tt/tt_io.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/socket.h>
-#endif
 
 namespace facet {
 namespace {
@@ -39,10 +34,7 @@ std::vector<TruthTable> random_funcs(int n, std::size_t count, std::uint64_t see
   return funcs;
 }
 
-struct Response {
-  FrameHeader header;
-  std::string payload;
-};
+using Response = FrameResponse;
 
 /// Splits a response byte stream back into frames.
 std::vector<Response> parse_responses(const std::string& out)
@@ -332,57 +324,14 @@ TEST_F(FrameSessionTest, StatsMetricsAndQuitVerbsAnswer)
   ASSERT_EQ(responses[2].payload.size(), 8u);  // u64 flushed count
 }
 
-#if defined(__unix__) || defined(__APPLE__)
-
-std::string recv_exact(int fd, std::size_t want)
-{
-  std::string data;
-  char buf[4096];
-  while (data.size() < want) {
-    const ssize_t n =
-        ::recv(fd, buf, std::min(sizeof buf, want - data.size()), 0);
-    if (n <= 0) {
-      ADD_FAILURE() << "connection closed " << (want - data.size()) << " bytes early";
-      return data;
-    }
-    data.append(buf, static_cast<std::size_t>(n));
-  }
-  return data;
-}
-
-Response read_response(int fd)
-{
-  Response r;
-  const std::string head = recv_exact(fd, kFrameHeaderBytes);
-  if (head.size() < kFrameHeaderBytes) {
-    return r;
-  }
-  r.header = decode_header(reinterpret_cast<const unsigned char*>(head.data()));
-  r.payload = recv_exact(fd, r.header.payload_bytes);
-  return r;
-}
-
-bool send_all(int fd, const std::string& data)
-{
-  std::size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n = ::send(fd, data.data() + sent, data.size() - sent, 0);
-    if (n <= 0) {
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-TEST(Frame, V1AndV2AutoSniffShareOnePort)
+TEST(Frame, NonFrameFirstByteAnswersBadFrameAndCloses)
 {
   if (!net_supported()) {
     GTEST_SKIP() << "no sockets on this platform";
   }
   const auto funcs = random_funcs(5, 30, 0xF2D4ULL);
   const ClassificationResult expected = classify_batch(funcs, ClassifierKind::kExhaustive, {});
-  const std::string path = ::testing::TempDir() + "frame_sniff_5.fcs";
+  const std::string path = ::testing::TempDir() + "frame_port_5.fcs";
   build_class_store(funcs, {}).save(path);
   std::remove(ClassStore::delta_log_path(path).c_str());
 
@@ -393,45 +342,43 @@ TEST(Frame, V1AndV2AutoSniffShareOnePort)
   server.start();
   ASSERT_NE(server.tcp_port(), 0);
 
-  // v2 client: one binary batch over the whole set, then quit.
+  // A frame client: one binary batch over the whole set, then quit.
   {
-    Socket client = connect_tcp({"127.0.0.1", server.tcp_port()});
-    ASSERT_TRUE(send_all(client.fd(), encode_batch_request(FrameVerb::kLookup, 5, funcs)));
-    const Response batch = read_response(client.fd());
-    EXPECT_EQ(batch.header.aux, static_cast<std::uint8_t>(FrameStatus::kOk));
-    const auto records = decode_records(batch.payload);
+    const Socket client = connect_tcp({"127.0.0.1", server.tcp_port()});
+    const auto batch =
+        frame_round_trip(client, encode_batch_request(FrameVerb::kLookup, 5, funcs));
+    ASSERT_TRUE(batch.has_value());
+    EXPECT_EQ(batch->status(), FrameStatus::kOk);
+    const auto records = decode_records(batch->payload);
     ASSERT_TRUE(records.has_value());
     ASSERT_EQ(records->size(), funcs.size());
     for (std::size_t i = 0; i < funcs.size(); ++i) {
       EXPECT_EQ((*records)[i].class_id, expected.class_of[i]);
     }
-    ASSERT_TRUE(send_all(client.fd(), encode_control_request(FrameVerb::kQuit)));
-    const Response bye = read_response(client.fd());
-    EXPECT_EQ(bye.header.aux, static_cast<std::uint8_t>(FrameStatus::kOk));
+    const auto bye = frame_round_trip(client, encode_control_request(FrameVerb::kQuit));
+    ASSERT_TRUE(bye.has_value());
+    EXPECT_EQ(bye->status(), FrameStatus::kOk);
   }
 
-  // v1 client on the SAME port: the first byte is ASCII, so the line
-  // protocol answers.
+  // A connection whose first byte is not 0xFB — a text client — gets one
+  // bad_frame err and is closed: there is no second protocol to fall back
+  // to.
   {
-    Socket client = connect_tcp({"127.0.0.1", server.tcp_port()});
-    FdStreamBuf buf{client.fd()};
-    std::ostream out{&buf};
-    std::istream in{&buf};
-    out << "lookup " << to_hex(funcs.front()) << "\nquit\n" << std::flush;
-    std::string line;
-    ASSERT_TRUE(std::getline(in, line));
-    EXPECT_EQ(line.rfind("ok id=" + std::to_string(expected.class_of[0]), 0), 0u);
-    ASSERT_TRUE(std::getline(in, line));
-    EXPECT_EQ(line.rfind("ok bye", 0), 0u);
+    const Socket client = connect_tcp({"127.0.0.1", server.tcp_port()});
+    const auto refused =
+        frame_round_trip(client, "lookup " + to_hex(funcs.front()) + "\nquit\n");
+    ASSERT_TRUE(refused.has_value());
+    EXPECT_EQ(refused->status(), FrameStatus::kBadFrame);
+    EXPECT_FALSE(frame_round_trip(client, "").has_value()) << "the connection stayed open";
   }
 
   server.request_shutdown();
   server.wait();
-  EXPECT_EQ(server.stats().errors.load(), 0u);
+  EXPECT_EQ(server.stats().errors.load(), 1u);
   EXPECT_EQ(server.stats().connections_total.load(), 2u);
+  std::remove(path.c_str());
 }
 
-#endif  // sockets
 
 }  // namespace
 }  // namespace facet

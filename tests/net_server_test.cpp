@@ -18,12 +18,11 @@
 #include <vector>
 
 #include "facet/engine/batch_engine.hpp"
-#include "facet/net/fd_stream.hpp"
+#include "facet/net/frame.hpp"
 #include "facet/net/socket.hpp"
 #include "facet/npn/transform.hpp"
 #include "facet/store/store_builder.hpp"
 #include "facet/tt/tt_generate.hpp"
-#include "facet/tt/tt_io.hpp"
 #include "facet/tt/tt_transform.hpp"
 
 namespace facet {
@@ -39,32 +38,52 @@ std::vector<TruthTable> random_funcs(int n, std::size_t count, std::uint64_t see
   return funcs;
 }
 
-/// Writes `script` (which must end in "quit\n") over `socket` and reads
-/// every response line until the server closes the connection.
-std::vector<std::string> exchange(Socket socket, const std::string& script)
+/// Sends each request frame in turn over `socket`, then quit, and returns
+/// every response read (quit's last); stops early if the server closes.
+std::vector<FrameResponse> exchange(const Socket& socket, std::vector<std::string> requests)
 {
-  FdStreamBuf buf{socket.fd()};
-  std::ostream out{&buf};
-  std::istream in{&buf};
-  out << script << std::flush;
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty() && line.back() == '\r') {
-      line.pop_back();
+  requests.push_back(encode_control_request(FrameVerb::kQuit));
+  std::vector<FrameResponse> responses;
+  for (const std::string& request : requests) {
+    std::optional<FrameResponse> response = frame_round_trip(socket, request);
+    if (!response.has_value()) {
+      break;
     }
-    lines.push_back(line);
+    responses.push_back(std::move(*response));
   }
-  return lines;
+  return responses;
 }
 
-/// Parses "ok id=<id> ..."; -1 for anything else.
-long parse_id(const std::string& line)
+/// The class ids of an ok lookup/append response, -1 per miss record;
+/// empty for an err response.
+std::vector<long> ids_of(const FrameResponse& response)
 {
-  if (line.rfind("ok id=", 0) != 0) {
-    return -1;
+  std::vector<long> ids;
+  if (response.status() != FrameStatus::kOk) {
+    return ids;
   }
-  return std::stol(line.substr(6));
+  for (const FrameRecord& record : decode_records(response.payload).value_or(
+           std::vector<FrameRecord>{})) {
+    ids.push_back(record.class_id == kFrameMissClassId ? -1 : static_cast<long>(record.class_id));
+  }
+  return ids;
+}
+
+/// Whether `response` is the ok answer to quit.
+bool is_bye(const FrameResponse& response)
+{
+  return response.header.verb == static_cast<std::uint8_t>(FrameVerb::kQuit) &&
+         response.status() == FrameStatus::kOk && response.payload.size() == 8;
+}
+
+std::string lookup_frame(const std::vector<TruthTable>& funcs)
+{
+  return encode_batch_request(FrameVerb::kLookup, funcs.front().num_vars(), funcs);
+}
+
+std::string append_frame(const std::vector<TruthTable>& funcs)
+{
+  return encode_batch_request(FrameVerb::kAppend, funcs.front().num_vars(), funcs);
 }
 
 TEST(NetServer, EightConcurrentClientsMatchBatchEngineBitIdentically)
@@ -96,24 +115,24 @@ TEST(NetServer, EightConcurrentClientsMatchBatchEngineBitIdentically)
   ASSERT_NE(server.tcp_port(), 0);
 
   // Every client queries the full mixed-width set — originals and one NPN
-  // image of each (the image must land in the same class) — in mlookup
-  // batches, half the fleet over TCP, half over the Unix socket.
+  // image of each (the image must land in the same class) — in batches of
+  // one width per frame, half the fleet over TCP, half over the Unix
+  // socket.
   struct Query {
-    std::string hex;
+    TruthTable func;
     std::uint32_t expected_id;
-    int width;
   };
-  std::vector<Query> queries;
+  std::vector<std::vector<Query>> queries_by_width(2);
   std::mt19937_64 rng{0x4e03ULL};
   for (std::size_t i = 0; i < funcs4.size(); ++i) {
-    queries.push_back({to_hex(funcs4[i]), expected4.class_of[i], 4});
-    queries.push_back(
-        {to_hex(apply_transform(funcs4[i], NpnTransform::random(4, rng))), expected4.class_of[i], 4});
+    queries_by_width[0].push_back({funcs4[i], expected4.class_of[i]});
+    queries_by_width[0].push_back(
+        {apply_transform(funcs4[i], NpnTransform::random(4, rng)), expected4.class_of[i]});
   }
   for (std::size_t i = 0; i < funcs5.size(); ++i) {
-    queries.push_back({to_hex(funcs5[i]), expected5.class_of[i], 5});
-    queries.push_back(
-        {to_hex(apply_transform(funcs5[i], NpnTransform::random(5, rng))), expected5.class_of[i], 5});
+    queries_by_width[1].push_back({funcs5[i], expected5.class_of[i]});
+    queries_by_width[1].push_back(
+        {apply_transform(funcs5[i], NpnTransform::random(5, rng)), expected5.class_of[i]});
   }
 
   const std::size_t num_clients = 8;
@@ -121,30 +140,40 @@ TEST(NetServer, EightConcurrentClientsMatchBatchEngineBitIdentically)
   std::vector<std::thread> clients;
   for (std::size_t c = 0; c < num_clients; ++c) {
     clients.emplace_back([&, c] {
-      // Each client walks the queries from its own offset, batched.
-      std::string script;
-      std::vector<std::uint32_t> expected_ids;
+      // Each client walks every width's queries from its own offset,
+      // batched.
+      std::vector<std::string> requests;
+      std::vector<std::vector<std::uint32_t>> expected_ids;
       const std::size_t batch = 25;
-      for (std::size_t start = 0; start < queries.size(); start += batch) {
-        script += "mlookup";
-        for (std::size_t k = start; k < std::min(start + batch, queries.size()); ++k) {
-          const Query& q = queries[(k + c * 37) % queries.size()];
-          script += " " + q.hex;
-          expected_ids.push_back(q.expected_id);
+      for (const auto& queries : queries_by_width) {
+        for (std::size_t start = 0; start < queries.size(); start += batch) {
+          std::vector<TruthTable> funcs;
+          expected_ids.emplace_back();
+          for (std::size_t k = start; k < std::min(start + batch, queries.size()); ++k) {
+            const Query& q = queries[(k + c * 37) % queries.size()];
+            funcs.push_back(q.func);
+            expected_ids.back().push_back(q.expected_id);
+          }
+          requests.push_back(lookup_frame(funcs));
         }
-        script += "\n";
       }
-      script += "quit\n";
-      Socket socket = c % 2 == 0 ? connect_tcp({"127.0.0.1", server.tcp_port()})
-                                 : connect_unix(unix_path);
-      const std::vector<std::string> lines = exchange(std::move(socket), script);
-      if (lines.size() != expected_ids.size() + 1) {
+      const Socket socket = c % 2 == 0 ? connect_tcp({"127.0.0.1", server.tcp_port()})
+                                       : connect_unix(unix_path);
+      const std::vector<FrameResponse> responses = exchange(socket, requests);
+      if (responses.size() != expected_ids.size() + 1 || !is_bye(responses.back())) {
         ++mismatches;
         return;
       }
-      for (std::size_t i = 0; i < expected_ids.size(); ++i) {
-        if (parse_id(lines[i]) != static_cast<long>(expected_ids[i])) {
+      for (std::size_t r = 0; r < expected_ids.size(); ++r) {
+        const std::vector<long> ids = ids_of(responses[r]);
+        if (ids.size() != expected_ids[r].size()) {
           ++mismatches;
+          continue;
+        }
+        for (std::size_t i = 0; i < ids.size(); ++i) {
+          if (ids[i] != static_cast<long>(expected_ids[r][i])) {
+            ++mismatches;
+          }
         }
       }
     });
@@ -178,7 +207,6 @@ TEST(NetServer, BackgroundCompactionCollapsesRunsUnderLiveTraffic)
 
   ServeServerOptions options;
   options.listen = "127.0.0.1:0";
-  options.append_on_miss = true;
   options.compact_after_runs = 1;  // collapse every sealed run immediately
   options.compact_poll = std::chrono::milliseconds{5};
   ServeServer server{store, path, options};
@@ -202,15 +230,16 @@ TEST(NetServer, BackgroundCompactionCollapsesRunsUnderLiveTraffic)
   std::atomic<bool> stop_reader{false};
   std::atomic<std::size_t> reader_errors{0};
   std::thread reader{[&] {
+    const std::vector<TruthTable> known(base_funcs.begin(), base_funcs.begin() + 10);
     while (!stop_reader.load()) {
-      std::string script;
-      for (std::size_t i = 0; i < 10; ++i) {
-        script += "lookup " + to_hex(base_funcs[i % base_funcs.size()]) + "\n";
+      const auto responses =
+          exchange(connect_tcp({"127.0.0.1", server.tcp_port()}), {lookup_frame(known)});
+      const std::vector<long> ids = responses.empty() ? std::vector<long>{} : ids_of(responses[0]);
+      if (ids.size() != known.size()) {
+        ++reader_errors;
       }
-      script += "quit\n";
-      const auto lines = exchange(connect_tcp({"127.0.0.1", server.tcp_port()}), script);
-      for (std::size_t i = 0; i + 1 < lines.size(); ++i) {
-        if (parse_id(lines[i]) < 0) {
+      for (const long id : ids) {
+        if (id < 0) {
           ++reader_errors;
         }
       }
@@ -219,19 +248,19 @@ TEST(NetServer, BackgroundCompactionCollapsesRunsUnderLiveTraffic)
 
   std::vector<long> appended_ids;
   for (std::size_t start = 0; start < novel.size(); start += 3) {
-    std::string script;
-    for (std::size_t k = start; k < std::min(start + 3, novel.size()); ++k) {
-      script += "lookup " + to_hex(novel[k]) + "\n";
-    }
-    script += "quit\n";
-    const auto lines = exchange(connect_tcp({"127.0.0.1", server.tcp_port()}), script);
-    ASSERT_GE(lines.size(), 2u);
-    for (std::size_t i = 0; i + 1 < lines.size(); ++i) {
-      const long id = parse_id(lines[i]);
-      ASSERT_GE(id, 0) << lines[i];
+    const std::vector<TruthTable> chunk(novel.begin() + static_cast<std::ptrdiff_t>(start),
+                                        novel.begin() + static_cast<std::ptrdiff_t>(
+                                                            std::min(start + 3, novel.size())));
+    const auto responses =
+        exchange(connect_tcp({"127.0.0.1", server.tcp_port()}), {append_frame(chunk)});
+    ASSERT_EQ(responses.size(), 2u);
+    const std::vector<long> ids = ids_of(responses[0]);
+    ASSERT_EQ(ids.size(), chunk.size()) << responses[0].payload;
+    for (const long id : ids) {
+      ASSERT_GE(id, 0);
       appended_ids.push_back(id);
     }
-    EXPECT_EQ(lines.back().rfind("ok bye flushed=", 0), 0u) << lines.back();
+    EXPECT_TRUE(is_bye(responses.back()));
   }
 
   // The compactor runs on a 5ms poll with a 1-run threshold: wait for it to
@@ -290,7 +319,6 @@ TEST(NetServer, ReadonlyServerRejectsAppendsAndServesConcurrentReaders)
   ServeServerOptions options;
   options.listen = "127.0.0.1:0";
   options.readonly = true;
-  options.append_on_miss = true;  // must be ignored under readonly
   ServeServer server{store, path, options};
   server.start();
 
@@ -298,10 +326,16 @@ TEST(NetServer, ReadonlyServerRejectsAppendsAndServesConcurrentReaders)
   std::atomic<std::size_t> failures{0};
   for (std::size_t c = 0; c < 8; ++c) {
     clients.emplace_back([&] {
-      std::string script = "lookup " + to_hex(funcs[0]) + "\nlookup " + to_hex(novel) + "\nquit\n";
-      const auto lines = exchange(connect_tcp({"127.0.0.1", server.tcp_port()}), script);
-      if (lines.size() != 3 || parse_id(lines[0]) < 0 ||
-          lines[1] != "err unknown function (readonly session)" || lines[2] != "ok bye") {
+      // A hit, a miss record (never classified), and a refused append.
+      const auto responses = exchange(connect_tcp({"127.0.0.1", server.tcp_port()}),
+                                      {lookup_frame({funcs[0], novel}), append_frame({novel})});
+      if (responses.size() != 3) {
+        ++failures;
+        return;
+      }
+      const std::vector<long> ids = ids_of(responses[0]);
+      if (ids.size() != 2 || ids[0] < 0 || ids[1] != -1 ||
+          responses[1].status() != FrameStatus::kReadonly || !is_bye(responses[2])) {
         ++failures;
       }
     });
@@ -341,7 +375,6 @@ TEST(NetServer, IdleTimeoutDisconnectsAndFlushesLikeCleanExit)
 
   ServeServerOptions options;
   options.listen = "127.0.0.1:0";
-  options.append_on_miss = true;
   options.idle_timeout = std::chrono::milliseconds{100};
   ServeServer server{store, path, options};
   server.start();
@@ -349,16 +382,13 @@ TEST(NetServer, IdleTimeoutDisconnectsAndFlushesLikeCleanExit)
   // Append one class, then go silent: the server must cut the connection
   // (EOF on our read) and the session-exit flush must make the append
   // durable — an idle client neither pins its slot nor loses work.
-  Socket socket = connect_tcp({"127.0.0.1", server.tcp_port()});
-  FdStreamBuf buf{socket.fd()};
-  std::ostream out{&buf};
-  std::istream in{&buf};
-  out << "lookup " << to_hex(novel) << "\n" << std::flush;
-  std::string line;
-  ASSERT_TRUE(static_cast<bool>(std::getline(in, line)));
-  EXPECT_EQ(line.rfind("ok id=", 0), 0u) << line;
-  EXPECT_FALSE(static_cast<bool>(std::getline(in, line)))
-      << "the idle connection was not cut: " << line;
+  const Socket socket = connect_tcp({"127.0.0.1", server.tcp_port()});
+  const auto appended = frame_round_trip(socket, append_frame({novel}));
+  ASSERT_TRUE(appended.has_value());
+  const std::vector<long> ids = ids_of(*appended);
+  ASSERT_EQ(ids.size(), 1u);
+  EXPECT_GE(ids[0], 0);
+  EXPECT_FALSE(frame_round_trip(socket, "").has_value()) << "the idle connection was not cut";
 
   for (int spin = 0; spin < 200 && server.stats().connections_active.load() != 0; ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds{5});
@@ -404,18 +434,13 @@ TEST(NetServer, ShutdownDrainsLiveConnectionsWhileOthersExitConcurrently)
   std::vector<std::thread> lingerers;
   for (std::size_t c = 0; c < num_lingerers; ++c) {
     lingerers.emplace_back([&] {
-      Socket socket = connect_tcp({"127.0.0.1", server.tcp_port()});
-      FdStreamBuf buf{socket.fd()};
-      std::ostream out{&buf};
-      std::istream in{&buf};
-      out << "lookup " << to_hex(funcs[0]) << "\n" << std::flush;
-      std::string line;
-      if (!std::getline(in, line)) {
+      const Socket socket = connect_tcp({"127.0.0.1", server.tcp_port()});
+      if (!frame_round_trip(socket, lookup_frame({funcs[0]})).has_value()) {
         return;
       }
       ++lingering;
-      while (std::getline(in, line)) {
-        // drain: the server shuts the socket down, getline sees EOF
+      while (frame_round_trip(socket, "").has_value()) {
+        // drain: the server shuts the socket down, the read sees EOF
       }
     });
   }
@@ -427,8 +452,7 @@ TEST(NetServer, ShutdownDrainsLiveConnectionsWhileOthersExitConcurrently)
     churners.emplace_back([&] {
       while (!stop_churn.load()) {
         try {
-          exchange(connect_tcp({"127.0.0.1", server.tcp_port()}),
-                   "lookup " + to_hex(funcs[1]) + "\nquit\n");
+          exchange(connect_tcp({"127.0.0.1", server.tcp_port()}), {lookup_frame({funcs[1]})});
         } catch (const NetError&) {
           return;  // listener already closed by the shutdown
         }
@@ -497,42 +521,32 @@ TEST(NetServer, MixedWidthReadersStayBitIdenticalWhileAnotherWidthAppendsAndComp
   const std::size_t base5_records = router.store_for(5)->num_records();
   ServeServerOptions options;
   options.listen = "127.0.0.1:0";
-  options.append_on_miss = true;
   options.compact_after_runs = 1;
   options.compact_poll = std::chrono::milliseconds{5};
   ServeServer server{router, {{4, path4}, {5, path5}}, options};
   server.start();
 
-  // Width-4 readers: mlookup batches of originals + NPN images, checked
+  // Width-4 readers: lookup frames of originals + NPN images, checked
   // against the engine's exact ids, looping until the appenders finish.
   std::atomic<bool> stop_readers{false};
   std::atomic<std::size_t> reader_mismatches{0};
   std::vector<std::thread> readers;
   std::mt19937_64 image_rng{0x4e63ULL};
-  std::vector<std::pair<std::string, std::uint32_t>> read_queries;
+  std::vector<TruthTable> read_funcs;
+  std::vector<long> read_ids;
   for (std::size_t i = 0; i < funcs4.size(); ++i) {
-    read_queries.emplace_back(to_hex(funcs4[i]), expected4.class_of[i]);
-    read_queries.emplace_back(
-        to_hex(apply_transform(funcs4[i], NpnTransform::random(4, image_rng))),
-        expected4.class_of[i]);
+    read_funcs.push_back(funcs4[i]);
+    read_funcs.push_back(apply_transform(funcs4[i], NpnTransform::random(4, image_rng)));
+    read_ids.insert(read_ids.end(), 2, static_cast<long>(expected4.class_of[i]));
   }
+  const std::string read_frame = lookup_frame(read_funcs);
   for (std::size_t t = 0; t < 4; ++t) {
     readers.emplace_back([&] {
       while (!stop_readers.load()) {
-        std::string script = "mlookup";
-        for (const auto& [hex, id] : read_queries) {
-          script += " " + hex;
-        }
-        script += "\nquit\n";
-        const auto lines = exchange(connect_tcp({"127.0.0.1", server.tcp_port()}), script);
-        if (lines.size() != read_queries.size() + 1) {
+        const auto responses =
+            exchange(connect_tcp({"127.0.0.1", server.tcp_port()}), {read_frame});
+        if (responses.size() != 2 || ids_of(responses[0]) != read_ids) {
           ++reader_mismatches;
-          continue;
-        }
-        for (std::size_t i = 0; i < read_queries.size(); ++i) {
-          if (parse_id(lines[i]) != static_cast<long>(read_queries[i].second)) {
-            ++reader_mismatches;
-          }
         }
       }
     });
@@ -542,19 +556,19 @@ TEST(NetServer, MixedWidthReadersStayBitIdenticalWhileAnotherWidthAppendsAndComp
   // run and the 1-run compactor folds width 5 under the readers' feet.
   std::vector<long> appended_ids;
   for (std::size_t start = 0; start < novel5.size(); start += 2) {
-    std::string script;
-    for (std::size_t k = start; k < std::min(start + 2, novel5.size()); ++k) {
-      script += "lookup " + to_hex(novel5[k]) + "\n";
-    }
-    script += "quit\n";
-    const auto lines = exchange(connect_tcp({"127.0.0.1", server.tcp_port()}), script);
-    ASSERT_GE(lines.size(), 2u);
-    for (std::size_t i = 0; i + 1 < lines.size(); ++i) {
-      const long id = parse_id(lines[i]);
-      ASSERT_GE(id, 0) << lines[i];
+    const std::vector<TruthTable> chunk(novel5.begin() + static_cast<std::ptrdiff_t>(start),
+                                        novel5.begin() + static_cast<std::ptrdiff_t>(
+                                                             std::min(start + 2, novel5.size())));
+    const auto responses =
+        exchange(connect_tcp({"127.0.0.1", server.tcp_port()}), {append_frame(chunk)});
+    ASSERT_EQ(responses.size(), 2u);
+    const std::vector<long> ids = ids_of(responses[0]);
+    ASSERT_EQ(ids.size(), chunk.size()) << responses[0].payload;
+    for (const long id : ids) {
+      ASSERT_GE(id, 0);
       appended_ids.push_back(id);
     }
-    EXPECT_EQ(lines.back().rfind("ok bye flushed=", 0), 0u) << lines.back();
+    EXPECT_TRUE(is_bye(responses.back()));
   }
   for (int spin = 0; spin < 400 && server.stats().compactions.load() == 0; ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds{5});
@@ -614,21 +628,21 @@ TEST(NetServer, CapacityOverflowAnswersErrAndCloses)
   server.start();
 
   // Hold one connection open, then connect again: the second must be
-  // rejected with the capacity error.
-  Socket first = connect_tcp({"127.0.0.1", server.tcp_port()});
-  FdStreamBuf first_buf{first.fd()};
-  std::ostream first_out{&first_buf};
-  std::istream first_in{&first_buf};
-  first_out << "info\n" << std::flush;
-  std::string line;
-  ASSERT_TRUE(static_cast<bool>(std::getline(first_in, line)));
+  // answered one at_capacity err frame naming the limit, then closed.
+  const Socket first = connect_tcp({"127.0.0.1", server.tcp_port()});
+  ASSERT_TRUE(frame_round_trip(first, encode_control_request(FrameVerb::kStats)).has_value());
 
-  const auto rejected =
-      exchange(connect_tcp({"127.0.0.1", server.tcp_port()}), std::string{});
-  ASSERT_EQ(rejected.size(), 1u);
-  EXPECT_EQ(rejected[0].rfind("err server at capacity", 0), 0u) << rejected[0];
+  const Socket second = connect_tcp({"127.0.0.1", server.tcp_port()});
+  const auto rejected = frame_round_trip(second, "");
+  ASSERT_TRUE(rejected.has_value()) << "no err frame before the close";
+  EXPECT_EQ(rejected->status(), FrameStatus::kAtCapacity);
+  EXPECT_NE(rejected->payload.find("capacity (1 connections)"), std::string::npos)
+      << rejected->payload;
+  EXPECT_FALSE(frame_round_trip(second, "").has_value()) << "the rejected connection stayed open";
 
-  first_out << "quit\n" << std::flush;
+  const auto bye = frame_round_trip(first, encode_control_request(FrameVerb::kQuit));
+  ASSERT_TRUE(bye.has_value());
+  EXPECT_TRUE(is_bye(*bye));
   server.request_shutdown();
   server.wait();
   std::remove(path.c_str());

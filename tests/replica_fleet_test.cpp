@@ -16,12 +16,11 @@
 #include <thread>
 #include <vector>
 
-#include "facet/net/fd_stream.hpp"
+#include "facet/net/frame.hpp"
 #include "facet/net/server.hpp"
 #include "facet/net/socket.hpp"
 #include "facet/store/store_builder.hpp"
 #include "facet/tt/tt_generate.hpp"
-#include "facet/tt/tt_io.hpp"
 
 namespace facet {
 namespace {
@@ -36,32 +35,25 @@ std::vector<TruthTable> random_funcs(int n, std::size_t count, std::uint64_t see
   return funcs;
 }
 
-/// Writes `script` (must end in "quit\n") and reads every response line
-/// until the server closes the connection.
-std::vector<std::string> exchange(Socket socket, const std::string& script)
+/// One `verb` frame of `funcs` over a fresh connection to `port`, then
+/// quit: the answered class ids, -1 per miss record. Empty when the
+/// exchange failed (transport error, err frame, or no clean quit answer).
+std::vector<long> ask(std::uint16_t port, FrameVerb verb, const std::vector<TruthTable>& funcs)
 {
-  FdStreamBuf buf{socket.fd()};
-  std::ostream out{&buf};
-  std::istream in{&buf};
-  out << script << std::flush;
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty() && line.back() == '\r') {
-      line.pop_back();
-    }
-    lines.push_back(line);
+  const Socket socket = connect_tcp({"127.0.0.1", port});
+  const auto response =
+      frame_round_trip(socket, encode_batch_request(verb, funcs.front().num_vars(), funcs));
+  const auto bye = frame_round_trip(socket, encode_control_request(FrameVerb::kQuit));
+  if (!response.has_value() || response->status() != FrameStatus::kOk || !bye.has_value() ||
+      bye->status() != FrameStatus::kOk) {
+    return {};
   }
-  return lines;
-}
-
-/// Parses "ok id=<id> ..."; -1 for anything else.
-long parse_id(const std::string& line)
-{
-  if (line.rfind("ok id=", 0) != 0) {
-    return -1;
+  std::vector<long> ids;
+  for (const FrameRecord& record :
+       decode_records(response->payload).value_or(std::vector<FrameRecord>{})) {
+    ids.push_back(record.class_id == kFrameMissClassId ? -1 : static_cast<long>(record.class_id));
   }
-  return std::stol(line.substr(6));
+  return ids;
 }
 
 TEST(ReplicaFleet, ReplicasAdoptCompactionWithZeroFailedLookups)
@@ -76,12 +68,11 @@ TEST(ReplicaFleet, ReplicasAdoptCompactionWithZeroFailedLookups)
   build_class_store(base_funcs, {}).save(path);
   std::remove(dlog.c_str());
 
-  // The primary: writable, appends on miss, compacts aggressively so the
-  // test exercises the swap.
+  // The primary: writable (clients append through it), compacts
+  // aggressively so the test exercises the swap.
   ClassStore primary_store = ClassStore::open(path);
   ServeServerOptions primary_options;
   primary_options.listen = "127.0.0.1:0";
-  primary_options.append_on_miss = true;
   primary_options.compact_after_runs = 1;
   primary_options.compact_poll = std::chrono::milliseconds{5};
   ServeServer primary{primary_store, path, primary_options};
@@ -119,21 +110,20 @@ TEST(ReplicaFleet, ReplicasAdoptCompactionWithZeroFailedLookups)
   std::vector<std::thread> readers;
   for (std::size_t r = 0; r < num_replicas; ++r) {
     readers.emplace_back([&, r] {
-      const int port = replicas[r]->tcp_port();
+      const std::uint16_t port = replicas[r]->tcp_port();
       std::size_t round = 0;
       while (!stop_readers.load()) {
-        std::string script;
+        std::vector<TruthTable> known;
         for (std::size_t i = 0; i < 8; ++i) {
-          script += "lookup " + to_hex(base_funcs[(round + i) % base_funcs.size()]) + "\n";
+          known.push_back(base_funcs[(round + i) % base_funcs.size()]);
         }
-        script += "quit\n";
-        const auto lines = exchange(connect_tcp({"127.0.0.1", port}), script);
-        if (lines.size() != 9) {
+        const std::vector<long> ids = ask(port, FrameVerb::kLookup, known);
+        if (ids.size() != known.size()) {
           ++failed_lookups;
           continue;
         }
-        for (std::size_t i = 0; i + 1 < lines.size(); ++i) {
-          if (parse_id(lines[i]) < 0) {
+        for (const long id : ids) {
+          if (id < 0) {
             ++failed_lookups;
           }
         }
@@ -157,16 +147,13 @@ TEST(ReplicaFleet, ReplicasAdoptCompactionWithZeroFailedLookups)
   }
   std::vector<long> appended_ids;
   for (std::size_t start = 0; start < novel.size(); start += 3) {
-    std::string script;
-    for (std::size_t k = start; k < std::min(start + 3, novel.size()); ++k) {
-      script += "lookup " + to_hex(novel[k]) + "\n";
-    }
-    script += "quit\n";
-    const auto lines = exchange(connect_tcp({"127.0.0.1", primary.tcp_port()}), script);
-    ASSERT_EQ(lines.size(), 4u);  // three ids + the exit-flush "ok bye"
-    for (std::size_t i = 0; i + 1 < lines.size(); ++i) {
-      const long id = parse_id(lines[i]);
-      ASSERT_GE(id, 0) << lines[i];
+    const std::vector<TruthTable> chunk(novel.begin() + static_cast<std::ptrdiff_t>(start),
+                                        novel.begin() + static_cast<std::ptrdiff_t>(start + 3));
+    // three ids, then the exit flush of quit seals a run
+    const std::vector<long> ids = ask(primary.tcp_port(), FrameVerb::kAppend, chunk);
+    ASSERT_EQ(ids.size(), 3u);
+    for (const long id : ids) {
+      ASSERT_GE(id, 0);
       appended_ids.push_back(id);
     }
   }
@@ -194,22 +181,17 @@ TEST(ReplicaFleet, ReplicasAdoptCompactionWithZeroFailedLookups)
   // A replica may still be one poll behind the final on-disk state, so give
   // each one a bounded window to converge.
   for (std::size_t r = 0; r < num_replicas; ++r) {
-    std::string script;
-    for (const auto& f : novel) {
-      script += "lookup " + to_hex(f) + "\n";
-    }
-    script += "quit\n";
-    std::vector<std::string> lines;
+    std::vector<long> ids;
     for (int attempt = 0; attempt < 200; ++attempt) {
-      lines = exchange(connect_tcp({"127.0.0.1", replicas[r]->tcp_port()}), script);
-      if (lines.size() == novel.size() + 1 && parse_id(lines[novel.size() - 1]) >= 0) {
+      ids = ask(replicas[r]->tcp_port(), FrameVerb::kLookup, novel);
+      if (ids.size() == novel.size() && ids.back() >= 0) {
         break;
       }
       std::this_thread::sleep_for(std::chrono::milliseconds{10});
     }
-    ASSERT_EQ(lines.size(), novel.size() + 1);
+    ASSERT_EQ(ids.size(), novel.size());
     for (std::size_t i = 0; i < novel.size(); ++i) {
-      EXPECT_EQ(parse_id(lines[i]), appended_ids[i])
+      EXPECT_EQ(ids[i], appended_ids[i])
           << "replica " << r << " diverged from the primary on append " << i;
     }
   }
@@ -278,10 +260,9 @@ TEST(ReplicaFleet, ReloadPollRecoversAfterTransientFailure)
   std::this_thread::sleep_for(std::chrono::milliseconds{80});
   EXPECT_EQ(replica.reloads(), 0u);
   {
-    const auto lines = exchange(connect_tcp({"127.0.0.1", replica.tcp_port()}),
-                                "lookup " + to_hex(base_funcs[0]) + "\nquit\n");
-    ASSERT_EQ(lines.size(), 2u);
-    EXPECT_GE(parse_id(lines[0]), 0) << "replica stopped serving after a failed reload";
+    const std::vector<long> ids = ask(replica.tcp_port(), FrameVerb::kLookup, {base_funcs[0]});
+    ASSERT_EQ(ids.size(), 1u);
+    EXPECT_GE(ids[0], 0) << "replica stopped serving after a failed reload";
   }
 
   // Repair the log: the next poll succeeds and the new class appears.
@@ -293,10 +274,9 @@ TEST(ReplicaFleet, ReloadPollRecoversAfterTransientFailure)
     std::this_thread::sleep_for(std::chrono::milliseconds{5});
   }
   ASSERT_GE(replica.reloads(), 1u) << "reload never recovered after the log was repaired";
-  const auto lines = exchange(connect_tcp({"127.0.0.1", replica.tcp_port()}),
-                              "lookup " + to_hex(novel) + "\nquit\n");
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_EQ(parse_id(lines[0]), static_cast<long>(novel_id));
+  const std::vector<long> ids = ask(replica.tcp_port(), FrameVerb::kLookup, {novel});
+  ASSERT_EQ(ids.size(), 1u);
+  EXPECT_EQ(ids[0], static_cast<long>(novel_id));
 
   replica.request_shutdown();
   replica.wait();

@@ -1,24 +1,32 @@
-/// Protocol edge cases of the hardened serve loops: CRLF input, comment-only
-/// sessions, malformed operands (bare "0x", invalid digits, wrong digit
-/// counts) answering one canonical err shape in both loops, oversized
-/// request lines, per-operand mlookup error isolation, flush-on-exit with
-/// `ok bye flushed=<k>` reporting, readonly sessions, and `stats all`.
+/// Serve-session semantics through the protocol v2 frame path every socket
+/// connection runs (ServeDispatcher behind a FrameSession): lookup vs
+/// append policy, request errors that keep the session alive, flush-on-exit
+/// via quit and via EOF with the flushed count reported, readonly
+/// sessions, the `stats` aggregate and per-width rows, latency and
+/// slow-request telemetry, the `metrics` dump, and memo-tier answers.
 
 #include "facet/store/serve.hpp"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <random>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "facet/net/frame.hpp"
+#include "facet/net/server.hpp"
 #include "facet/npn/transform.hpp"
 #include "facet/store/store_builder.hpp"
 #include "facet/tt/tt_generate.hpp"
-#include "facet/tt/tt_io.hpp"
 #include "facet/tt/tt_transform.hpp"
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <sys/socket.h>
+#endif
 
 namespace facet {
 namespace {
@@ -33,44 +41,6 @@ ClassStore make_store(int n, std::uint64_t seed, std::size_t count = 30)
   return build_class_store(funcs, {});
 }
 
-std::vector<std::string> run_serve(ClassStore& store, const std::string& script,
-                                   ServeStats* stats_out = nullptr,
-                                   const ServeOptions& options = {})
-{
-  std::istringstream in{script};
-  std::ostringstream out;
-  const ServeStats stats = serve_loop(store, in, out, options);
-  if (stats_out != nullptr) {
-    *stats_out = stats;
-  }
-  std::vector<std::string> lines;
-  std::istringstream reader{out.str()};
-  std::string line;
-  while (std::getline(reader, line)) {
-    lines.push_back(line);
-  }
-  return lines;
-}
-
-std::vector<std::string> run_router_serve(StoreRouter& router, const std::string& script,
-                                          ServeStats* stats_out = nullptr,
-                                          const ServeOptions& options = {})
-{
-  std::istringstream in{script};
-  std::ostringstream out;
-  const ServeStats stats = serve_router_loop(router, in, out, options);
-  if (stats_out != nullptr) {
-    *stats_out = stats;
-  }
-  std::vector<std::string> lines;
-  std::istringstream reader{out.str()};
-  std::string line;
-  while (std::getline(reader, line)) {
-    lines.push_back(line);
-  }
-  return lines;
-}
-
 StoreRouter make_router(std::uint64_t seed)
 {
   StoreRouter router;
@@ -79,133 +49,253 @@ StoreRouter make_router(std::uint64_t seed)
   return router;
 }
 
-TEST(ServeProtocolEdge, CrlfLineEndingsAreAccepted)
+/// A function `store` does not hold.
+TruthTable novel_function(const ClassStore& store, std::uint64_t seed)
 {
-  ClassStore store = make_store(4, 0xed01ULL);
-  const std::string hex = to_hex(store.records().front().representative);
-  ServeStats stats;
-  const auto lines =
-      run_serve(store, "lookup " + hex + "\r\ninfo\r\n  stats  \r\nquit\r\n", &stats);
-  ASSERT_EQ(lines.size(), 4u);
-  EXPECT_EQ(lines[0].rfind("ok id=", 0), 0u) << lines[0];
-  EXPECT_EQ(lines[1].rfind("ok n=4 ", 0), 0u) << lines[1];
-  EXPECT_EQ(lines[2].rfind("ok requests=", 0), 0u) << lines[2];
-  EXPECT_EQ(lines[3], "ok bye");
-  EXPECT_EQ(stats.errors, 0u);
+  std::mt19937_64 rng{seed};
+  TruthTable f{store.num_vars()};
+  do {
+    f = tt_random(store.num_vars(), rng);
+  } while (store.lookup(f).has_value());
+  return f;
 }
 
-TEST(ServeProtocolEdge, BlankAndCommentOnlySessionAnswersNothing)
+/// One in-process serve session: a dispatcher over a store or a router
+/// behind the FrameSession a socket connection runs.
+class Session {
+ public:
+  explicit Session(ClassStore& store, const ServeOptions& options = {})
+      : dispatcher_{&store, nullptr, options}, frames_{&dispatcher_}
+  {
+  }
+  explicit Session(StoreRouter& router, const ServeOptions& options = {})
+      : dispatcher_{nullptr, &router, options}, frames_{&dispatcher_}
+  {
+  }
+
+  /// Feeds one request frame and returns its single response.
+  FrameResponse send(std::string request)
+  {
+    std::string out;
+    step_ = frames_.consume(request, out);
+    EXPECT_TRUE(request.empty()) << "the request frame was not consumed";
+    FrameResponse response;
+    if (out.size() < kFrameHeaderBytes) {
+      ADD_FAILURE() << "no response frame";
+      return response;
+    }
+    response.header = decode_header(reinterpret_cast<const unsigned char*>(out.data()));
+    response.payload = out.substr(kFrameHeaderBytes);
+    EXPECT_EQ(response.payload.size(), response.header.payload_bytes) << "not exactly one frame";
+    return response;
+  }
+
+  /// A lookup/append batch of one width; the records of its ok response.
+  std::vector<FrameRecord> batch(FrameVerb verb, int width, const std::vector<TruthTable>& funcs)
+  {
+    const FrameResponse response = send(encode_batch_request(verb, width, funcs));
+    EXPECT_EQ(response.status(), FrameStatus::kOk) << response.payload;
+    return decode_records(response.payload).value_or(std::vector<FrameRecord>{});
+  }
+
+  std::vector<FrameRecord> lookup(const std::vector<TruthTable>& funcs)
+  {
+    return batch(FrameVerb::kLookup, funcs.front().num_vars(), funcs);
+  }
+  std::vector<FrameRecord> append(const std::vector<TruthTable>& funcs)
+  {
+    return batch(FrameVerb::kAppend, funcs.front().num_vars(), funcs);
+  }
+
+  /// The `stats` text block, split into lines.
+  std::vector<std::string> stats()
+  {
+    const FrameResponse response = send(encode_control_request(FrameVerb::kStats));
+    EXPECT_EQ(response.status(), FrameStatus::kOk);
+    std::vector<std::string> lines;
+    std::istringstream reader{response.payload};
+    for (std::string line; std::getline(reader, line);) {
+      lines.push_back(line);
+    }
+    return lines;
+  }
+
+  /// Sends quit; returns the flushed-record count of the ok response.
+  std::uint64_t quit()
+  {
+    const FrameResponse response = send(encode_control_request(FrameVerb::kQuit));
+    EXPECT_EQ(response.status(), FrameStatus::kOk);
+    EXPECT_EQ(step_, FrameStep::kClose) << "quit must end the session";
+    if (response.payload.size() != 8) {
+      ADD_FAILURE() << "quit payload is not a u64";
+      return 0;
+    }
+    return read_u64(reinterpret_cast<const unsigned char*>(response.payload.data()));
+  }
+
+  [[nodiscard]] ServeStats counters() const { return dispatcher_.session_stats(); }
+  [[nodiscard]] FrameStep last_step() const { return step_; }
+
+ private:
+  ServeDispatcher dispatcher_;
+  FrameSession frames_;
+  FrameStep step_ = FrameStep::kContinue;
+};
+
+const char* src_of(const FrameRecord& record)
 {
-  ClassStore store = make_store(3, 0xed02ULL);
-  ServeStats stats;
-  const auto lines = run_serve(store, "\n\r\n   \t \n# comment\n  # another\n", &stats);
-  EXPECT_TRUE(lines.empty());
-  EXPECT_EQ(stats.requests, 0u);
-  EXPECT_EQ(stats.errors, 0u);
+  return frame_src_name(record.src);
 }
 
-TEST(ServeProtocolEdge, MalformedOperandsAnswerOneCanonicalShapeInBothLoops)
+/// The numeric value of `key=<v>` on a stats line.
+double field(const std::string& line, const std::string& key)
 {
-  // Single-store loop: bare 0x, invalid digit (valid count), wrong count.
-  ClassStore store = make_store(4, 0xed03ULL);
-  ServeStats stats;
-  auto lines = run_serve(store,
-                         "lookup 0x\n"
-                         "lookup zzzz\n"
-                         "lookup ffff00\n"
-                         "quit\n",
-                         &stats);
-  ASSERT_EQ(lines.size(), 4u);
-  EXPECT_EQ(lines[0], "err operand '0x': empty hex payload");
-  EXPECT_EQ(lines[1], "err operand 'zzzz': invalid hex digit 'z'");
-  EXPECT_EQ(lines[2], "err operand 'ffff00': expected 4 hex digits for 4 variables, got 6");
-  EXPECT_EQ(stats.errors, 3u);
-  EXPECT_EQ(stats.lookups, 0u);
-
-  // Router loop: identical shape for the digit-level failures; a bad digit
-  // count reports the width-inference failure.
-  StoreRouter router = make_router(0xed04ULL);
-  ServeStats router_stats;
-  lines = run_router_serve(router,
-                           "lookup 0X\n"
-                           "lookup zzzz\n"
-                           "lookup abc\n"
-                           "quit\n",
-                           &router_stats);
-  ASSERT_EQ(lines.size(), 4u);
-  EXPECT_EQ(lines[0], "err operand '0X': empty hex payload");
-  EXPECT_EQ(lines[1], "err operand 'zzzz': invalid hex digit 'z'");
-  EXPECT_EQ(lines[2].rfind("err operand 'abc': digit count 3 maps to no function width", 0), 0u)
-      << lines[2];
-  EXPECT_EQ(router_stats.errors, 3u);
+  const std::size_t at = line.find(" " + key + "=");
+  if (at == std::string::npos) {
+    ADD_FAILURE() << "no " << key << "= in " << line;
+    return -1;
+  }
+  return std::stod(line.substr(at + key.size() + 2));
 }
 
-TEST(ServeProtocolEdge, HexOperandWidthRejectsInvalidDigitsAtInference)
+// -- StoreServe: the single-store session ----------------------------------
+
+TEST(StoreServe, LookupStatsQuit)
 {
-  EXPECT_EQ(hex_operand_width("zzzz"), -1) << "valid count, invalid digits";
-  EXPECT_EQ(hex_operand_width("e8g8"), -1);
-  EXPECT_EQ(hex_operand_width("0xzz"), -1);
-  EXPECT_EQ(hex_operand_width("0x"), -1);
-  EXPECT_EQ(hex_operand_width("0xe8"), 3) << "the prefix itself stays legal";
+  ClassStore store = make_store(4, 0x5e12ULL, 40);
+  const TruthTable rep = store.records().front().representative;
+
+  Session session{store};
+  // Width 4: both lookups resolve in the O(1) NPN4 table tier — no
+  // canonicalization, no cache or index involvement.
+  for (int round = 0; round < 2; ++round) {
+    const auto records = session.lookup({rep});
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_NE(records[0].class_id, kFrameMissClassId);
+    EXPECT_STREQ(src_of(records[0]), "table");
+    EXPECT_EQ(records[0].known, 1);
+  }
+  const auto stats = session.stats();
+  ASSERT_EQ(stats.size(), 2u);
+  EXPECT_EQ(stats[0].rfind("ok connections=1 sessions=1 requests=3 lookups=2 ", 0), 0u)
+      << stats[0];
+  EXPECT_EQ(session.quit(), 0u);
+
+  const ServeStats counters = session.counters();
+  EXPECT_EQ(counters.requests, 4u);
+  EXPECT_EQ(counters.lookups, 2u);
+  EXPECT_EQ(counters.table_hits, 2u);
+  EXPECT_EQ(counters.cache_hits, 0u);
+  EXPECT_EQ(counters.index_hits, 0u);
+  EXPECT_EQ(counters.live, 0u);
+  EXPECT_EQ(counters.errors, 0u);
 }
 
-TEST(ServeProtocolEdge, OversizedRequestLineAnswersErrAndKeepsServing)
+TEST(StoreServe, MalformedRequestsAnswerErrAndKeepServing)
 {
-  ClassStore store = make_store(3, 0xed05ULL);
-  const std::string hex = to_hex(store.records().front().representative);
-  std::string script;
-  script += "lookup " + hex + "\n";
-  script += std::string(kMaxRequestLineBytes + 100, 'a') + "\n";
-  script += "lookup " + hex + "\nquit\n";
-  ServeStats stats;
-  const auto lines = run_serve(store, script, &stats);
-  ASSERT_EQ(lines.size(), 4u);
-  EXPECT_EQ(lines[0].rfind("ok id=", 0), 0u);
-  EXPECT_EQ(lines[1].rfind("err request line exceeds", 0), 0u) << lines[1];
-  EXPECT_EQ(lines[2].rfind("ok id=", 0), 0u) << "the loop must survive the flood";
-  EXPECT_EQ(lines[3], "ok bye");
-  EXPECT_EQ(stats.errors, 1u);
+  ClassStore store = make_store(3, 0x5e14ULL, 40);
+  const TruthTable rep = store.records().front().representative;
+  Session session{store};
+
+  FrameHeader garbage;
+  garbage.magic = kFrameRequestMagic;
+  garbage.verb = 0x7E;
+  std::string unknown_verb;
+  encode_header(unknown_verb, garbage);
+  EXPECT_EQ(session.send(unknown_verb).status(), FrameStatus::kBadVerb);
+
+  std::string too_wide = encode_batch_request(FrameVerb::kLookup, 3, {rep});
+  too_wide[2] = static_cast<char>(kMaxVars + 1);
+  EXPECT_EQ(session.send(too_wide).status(), FrameStatus::kBadWidth);
+
+  std::string miscounted = encode_batch_request(FrameVerb::kLookup, 3, {rep});
+  miscounted[kFrameHeaderBytes] = 2;  // claims two operands, carries one
+  EXPECT_EQ(session.send(miscounted).status(), FrameStatus::kBadCount);
+
+  std::mt19937_64 rng{0x5e15ULL};
+  EXPECT_EQ(session.send(encode_batch_request(FrameVerb::kLookup, 4, {tt_random(4, rng)})).status(),
+            FrameStatus::kUnrouted);
+  EXPECT_EQ(session.last_step(), FrameStep::kContinue) << "request faults keep the session";
+
+  const auto records = session.lookup({rep});
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_NE(records[0].class_id, kFrameMissClassId) << "the session must survive errors";
+  EXPECT_EQ(session.quit(), 0u);
+  EXPECT_EQ(session.counters().errors, 4u);
+  EXPECT_EQ(session.counters().lookups, 1u);
 }
 
-TEST(ServeProtocolEdge, ZeroOperandMlookupAnswersErr)
+TEST(StoreServe, UnknownFunctionsFallBackToLiveAndCanAppend)
 {
-  ClassStore store = make_store(3, 0xed06ULL);
-  ServeStats stats;
-  const auto lines = run_serve(store, "mlookup\nmlookup   \nquit\n", &stats);
-  ASSERT_EQ(lines.size(), 3u);
-  EXPECT_EQ(lines[0].rfind("err mlookup takes", 0), 0u);
-  EXPECT_EQ(lines[1].rfind("err mlookup takes", 0), 0u);
-  EXPECT_EQ(stats.errors, 2u);
+  const int n = 4;
+  ClassStore store = make_store(n, 0x5e16ULL, 10);
+  const TruthTable novel = novel_function(store, 0x5e17ULL);
+  store.clear_hot_cache();
+  std::mt19937_64 rng{0x5e18ULL};
+  const TruthTable equivalent = apply_transform(novel, NpnTransform::random(n, rng));
+
+  Session session{store};
+  // lookup is a pure read: both unknown queries answer miss records and
+  // the store is untouched.
+  const auto misses = session.lookup({novel, equivalent});
+  ASSERT_EQ(misses.size(), 2u);
+  for (const FrameRecord& record : misses) {
+    EXPECT_EQ(record.class_id, kFrameMissClassId);
+    EXPECT_STREQ(src_of(record), "miss");
+  }
+  EXPECT_EQ(store.num_appended(), 0u);
+
+  // append classifies the miss live and persists it; the equivalent query
+  // then answers the same class as known, and the store grew by one.
+  const auto appended = session.append({novel});
+  ASSERT_EQ(appended.size(), 1u);
+  EXPECT_STREQ(src_of(appended[0]), "live");
+  EXPECT_EQ(appended[0].known, 0);
+  const auto hit = session.lookup({equivalent});
+  ASSERT_EQ(hit.size(), 1u);
+  EXPECT_EQ(hit[0].class_id, appended[0].class_id);
+  EXPECT_EQ(hit[0].known, 1);
+  EXPECT_EQ(session.counters().live, 1u);
+  EXPECT_EQ(store.num_appended(), 1u);
 }
 
-TEST(ServeProtocolEdge, MlookupBatchSurvivesErrOperandsAndCountsThem)
+// -- StoreRouterServe: one session over several widths ---------------------
+
+TEST(StoreRouterServe, OneSessionAnswersMixedWidths)
 {
-  // Width 5: above the NPN4 table tier, so the repeated operand exercises
-  // the hot cache (at width <= 4 every hit would resolve src=table).
-  ClassStore store = make_store(5, 0xed07ULL);
-  const std::string a = to_hex(store.records().front().representative);
-  const std::string b = to_hex(store.records().back().representative);
-  ServeStats stats;
-  const auto lines =
-      run_serve(store, "mlookup " + a + " zzzz 0x " + b + " fff " + a + "\nquit\n", &stats);
-  // One response line per operand — errors answer in place, the batch never
-  // aborts, and every failed operand lands in ServeStats::errors.
-  ASSERT_EQ(lines.size(), 7u);
-  EXPECT_EQ(lines[0].rfind("ok id=", 0), 0u);
-  EXPECT_EQ(lines[1].rfind("err operand 'zzzz'", 0), 0u);
-  EXPECT_EQ(lines[2].rfind("err operand '0x'", 0), 0u);
-  EXPECT_EQ(lines[3].rfind("ok id=", 0), 0u);
-  EXPECT_EQ(lines[4].rfind("err operand 'fff'", 0), 0u);
-  EXPECT_EQ(lines[5].rfind("ok id=", 0), 0u);
-  EXPECT_EQ(lines[6], "ok bye");
-  EXPECT_EQ(stats.errors, 3u);
-  EXPECT_EQ(stats.lookups, 3u);
-  EXPECT_EQ(stats.cache_hits, 1u) << "the repeated operand hits the hot cache";
+  StoreRouter router;
+  std::vector<TruthTable> reps;
+  for (const int n : {3, 4, 5}) {
+    router.attach(std::make_unique<ClassStore>(make_store(n, 0x40c7e5ULL + n)));
+    reps.push_back(router.store_for(n)->records().front().representative);
+  }
+
+  Session session{router};
+  for (const TruthTable& rep : reps) {
+    const auto records = session.lookup({rep});
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_NE(records[0].class_id, kFrameMissClassId) << "width " << rep.num_vars();
+    EXPECT_EQ(records[0].known, 1);
+  }
+  // Width 6 is not routed.
+  EXPECT_EQ(session.send(encode_batch_request(FrameVerb::kLookup, 6, {TruthTable{6}})).status(),
+            FrameStatus::kUnrouted);
+
+  const auto stats = session.stats();
+  ASSERT_EQ(stats.size(), 4u);
+  EXPECT_NE(stats[0].find(" widths=3"), std::string::npos) << stats[0];
+  EXPECT_EQ(stats[1].rfind("ok width=3 lookups=1 ", 0), 0u) << stats[1];
+  EXPECT_EQ(stats[2].rfind("ok width=4 lookups=1 ", 0), 0u) << stats[2];
+  EXPECT_EQ(stats[3].rfind("ok width=5 lookups=1 ", 0), 0u) << stats[3];
+  EXPECT_EQ(session.counters().lookups, 3u);
+  EXPECT_EQ(session.counters().errors, 1u);
 }
+
+// -- ServeProtocolEdge ------------------------------------------------------
 
 /// The append-loss bugfix: a session that appends classes flushes them to
 /// the delta log when it ends — via quit (reported in the response) and via
-/// bare EOF — so an unflushed memtable never dies with the process.
+/// a bare EOF — so an unflushed memtable never dies with the process.
 TEST(ServeProtocolEdge, QuitFlushesAppendsAndReportsCount)
 {
   const int n = 4;
@@ -215,21 +305,16 @@ TEST(ServeProtocolEdge, QuitFlushesAppendsAndReportsCount)
   std::remove(dlog.c_str());
 
   ClassStore store = ClassStore::open(path);
-  std::mt19937_64 rng{0xed09ULL};
-  TruthTable novel{n};
-  do {
-    novel = tt_random(n, rng);
-  } while (store.lookup(novel).has_value());
+  const TruthTable novel = novel_function(store, 0xed09ULL);
 
   ServeOptions options;
-  options.append_on_miss = true;
   options.dlog_path = dlog;
-  ServeStats stats;
-  const auto lines = run_serve(store, "lookup " + to_hex(novel) + "\nquit\n", &stats, options);
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_NE(lines[0].find("src=live"), std::string::npos);
-  EXPECT_EQ(lines[1], "ok bye flushed=1");
-  EXPECT_EQ(stats.flushed, 1u);
+  Session session{store, options};
+  const auto appended = session.append({novel});
+  ASSERT_EQ(appended.size(), 1u);
+  EXPECT_STREQ(src_of(appended[0]), "live");
+  EXPECT_EQ(session.quit(), 1u);
+  EXPECT_EQ(session.counters().flushed, 1u);
   EXPECT_EQ(store.num_appended(), 0u) << "the memtable was sealed";
 
   // The append is durable: a fresh open replays the delta log.
@@ -243,6 +328,9 @@ TEST(ServeProtocolEdge, QuitFlushesAppendsAndReportsCount)
 
 TEST(ServeProtocolEdge, EofFlushesAppendsWithoutQuit)
 {
+  if (!net_supported()) {
+    GTEST_SKIP() << "no sockets on this platform";
+  }
   const int n = 4;
   const std::string path = ::testing::TempDir() + "serve_edge_eof.fcs";
   const std::string dlog = ClassStore::delta_log_path(path);
@@ -250,26 +338,103 @@ TEST(ServeProtocolEdge, EofFlushesAppendsWithoutQuit)
   std::remove(dlog.c_str());
 
   ClassStore store = ClassStore::open(path);
-  std::mt19937_64 rng{0xed11ULL};
-  TruthTable novel{n};
-  do {
-    novel = tt_random(n, rng);
-  } while (store.lookup(novel).has_value());
+  const TruthTable novel = novel_function(store, 0xed11ULL);
+  ServeServerOptions options;
+  options.listen = "127.0.0.1:0";
+  ServeServer server{store, path, options};
+  server.start();
 
-  ServeOptions options;
-  options.append_on_miss = true;
-  options.dlog_path = dlog;
-  ServeStats stats;
-  // No quit: the pipe just ends — the EOF path must flush identically.
-  (void)run_serve(store, "lookup " + to_hex(novel) + "\n", &stats, options);
-  EXPECT_EQ(stats.flushed, 1u);
+  // No quit: the client appends, then just hangs up — the connection's
+  // close path must flush identically.
+  {
+    const Socket client = connect_tcp({"127.0.0.1", server.tcp_port()});
+    const auto response =
+        frame_round_trip(client, encode_batch_request(FrameVerb::kAppend, n, {novel}));
+    ASSERT_TRUE(response.has_value());
+    ASSERT_EQ(response->status(), FrameStatus::kOk);
+  }
+  for (int spin = 0; spin < 400 && server.stats().connections_active.load() != 0; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds{5});
+  }
+  EXPECT_EQ(server.stats().flushed_records.load(), 1u);
 
+  // Durable before the server's own shutdown flush runs.
   ClassStore reopened = ClassStore::open(path);
   const auto replayed = reopened.lookup(novel);
   ASSERT_TRUE(replayed.has_value());
   EXPECT_TRUE(replayed->known);
+  server.request_shutdown();
+  server.wait();
   std::remove(path.c_str());
   std::remove(dlog.c_str());
+}
+
+#if defined(__unix__) || defined(__APPLE__)
+
+TEST(StoreServe, EndOfInputEndsTheLoopWithoutQuit)
+{
+  if (!net_supported()) {
+    GTEST_SKIP() << "no sockets on this platform";
+  }
+  const std::string path = ::testing::TempDir() + "serve_edge_eoi.fcs";
+  make_store(3, 0x5e15ULL).save(path);
+  ClassStore store = ClassStore::open(path);
+  ServeServerOptions options;
+  options.listen = "127.0.0.1:0";
+  options.readonly = true;
+  ServeServer server{store, path, options};
+  server.start();
+
+  // One request, then end of input (half-close): the request is answered
+  // and the session ends without a quit.
+  const Socket client = connect_tcp({"127.0.0.1", server.tcp_port()});
+  const auto stats = frame_round_trip(client, encode_control_request(FrameVerb::kStats));
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_EQ(stats->status(), FrameStatus::kOk);
+  ASSERT_EQ(::shutdown(client.fd(), SHUT_WR), 0);
+  EXPECT_FALSE(frame_round_trip(client, "").has_value()) << "the session outlived its input";
+
+  for (int spin = 0; spin < 400 && server.stats().connections_active.load() != 0; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds{5});
+  }
+  EXPECT_EQ(server.stats().connections_active.load(), 0u);
+  EXPECT_EQ(server.stats().requests.load(), 1u);
+  server.request_shutdown();
+  server.wait();
+  std::remove(path.c_str());
+}
+
+#endif  // sockets
+
+TEST(ServeProtocolEdge, MalformedOperandsAnswerOneCanonicalShapeInBothLoops)
+{
+  // A batch payload shorter than its count, and one whose count disagrees
+  // with its operand bytes, answer the same bad_count reasons from a
+  // single-store session and a router session.
+  ClassStore store = make_store(4, 0xed03ULL);
+  StoreRouter router = make_router(0xed04ULL);
+  const TruthTable rep = store.records().front().representative;
+  std::string short_payload = encode_batch_request(FrameVerb::kLookup, 4, {});
+  short_payload.resize(kFrameHeaderBytes + 2);
+  short_payload[4] = 2;  // payload_bytes = 2: not even a count
+  std::string miscounted = encode_batch_request(FrameVerb::kLookup, 4, {rep});
+  miscounted[kFrameHeaderBytes] = 3;
+
+  Session single{store};
+  Session routed{router};
+  for (const std::string& request : {short_payload, miscounted}) {
+    const FrameResponse a = single.send(request);
+    const FrameResponse b = routed.send(request);
+    EXPECT_EQ(a.status(), FrameStatus::kBadCount);
+    EXPECT_EQ(b.status(), FrameStatus::kBadCount);
+    EXPECT_EQ(a.payload, b.payload);
+  }
+  EXPECT_EQ(single.send(short_payload).payload, "batch payload shorter than its count");
+  EXPECT_EQ(single.send(miscounted).payload,
+            "count 3 at width 4 needs 10 payload bytes, frame carries 6");
+  EXPECT_EQ(single.counters().errors, 4u);
+  EXPECT_EQ(routed.counters().errors, 2u);
+  EXPECT_EQ(single.counters().lookups, 0u);
 }
 
 TEST(ServeProtocolEdge, RouterQuitFlushesEveryWidth)
@@ -282,26 +447,17 @@ TEST(ServeProtocolEdge, RouterQuitFlushesEveryWidth)
   std::remove(ClassStore::delta_log_path(path4).c_str());
 
   StoreRouter router = StoreRouter::open({path3, path4});
-  std::mt19937_64 rng{0xed14ULL};
-  TruthTable novel3{3};
-  do {
-    novel3 = tt_random(3, rng);
-  } while (router.lookup(novel3).has_value());
-  TruthTable novel4{4};
-  do {
-    novel4 = tt_random(4, rng);
-  } while (router.lookup(novel4).has_value());
+  const TruthTable novel3 = novel_function(*router.store_for(3), 0xed14ULL);
+  const TruthTable novel4 = novel_function(*router.store_for(4), 0xed15ULL);
 
   ServeOptions options;
-  options.append_on_miss = true;
   options.dlog_paths = {{3, ClassStore::delta_log_path(path3)},
                         {4, ClassStore::delta_log_path(path4)}};
-  ServeStats stats;
-  const auto lines = run_router_serve(
-      router, "mlookup " + to_hex(novel3) + " " + to_hex(novel4) + "\nquit\n", &stats, options);
-  ASSERT_EQ(lines.size(), 3u);
-  EXPECT_EQ(lines[2], "ok bye flushed=2");
-  EXPECT_EQ(stats.flushed, 2u);
+  Session session{router, options};
+  ASSERT_EQ(session.append({novel3}).size(), 1u);
+  ASSERT_EQ(session.append({novel4}).size(), 1u);
+  EXPECT_EQ(session.quit(), 2u);
+  EXPECT_EQ(session.counters().flushed, 2u);
 
   StoreRouter reopened = StoreRouter::open({path3, path4});
   EXPECT_TRUE(reopened.lookup(novel3).has_value());
@@ -315,243 +471,124 @@ TEST(ServeProtocolEdge, RouterQuitFlushesEveryWidth)
 TEST(ServeProtocolEdge, ReadonlySessionRejectsMissesButServesHits)
 {
   ClassStore store = make_store(4, 0xed15ULL, 8);
-  std::mt19937_64 rng{0xed16ULL};
-  TruthTable novel{4};
-  do {
-    novel = tt_random(4, rng);
-  } while (store.lookup(novel).has_value());
+  const TruthTable novel = novel_function(store, 0xed16ULL);
   store.clear_hot_cache();
-  const std::string known = to_hex(store.records().front().representative);
+  const TruthTable known = store.records().front().representative;
 
   ServeOptions options;
   options.readonly = true;
-  ServeStats stats;
-  const auto lines = run_serve(
-      store, "lookup " + known + "\nlookup " + to_hex(novel) + "\nquit\n", &stats, options);
-  ASSERT_EQ(lines.size(), 3u);
-  EXPECT_EQ(lines[0].rfind("ok id=", 0), 0u) << lines[0];
-  EXPECT_EQ(lines[1], "err unknown function (readonly session)");
-  EXPECT_EQ(lines[2], "ok bye");
-  EXPECT_EQ(stats.lookups, 1u);
-  EXPECT_EQ(stats.errors, 1u);
+  Session session{store, options};
+  const auto records = session.lookup({known, novel});
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_NE(records[0].class_id, kFrameMissClassId);
+  EXPECT_EQ(records[1].class_id, kFrameMissClassId);
+  EXPECT_EQ(session.send(encode_batch_request(FrameVerb::kAppend, 4, {novel})).status(),
+            FrameStatus::kReadonly);
+  EXPECT_EQ(session.quit(), 0u);
+  EXPECT_EQ(session.counters().lookups, 1u);
+  EXPECT_EQ(session.counters().errors, 1u);
   EXPECT_EQ(store.num_appended(), 0u);
   EXPECT_EQ(store.num_classes(), store.num_records()) << "no live ids were allocated";
 }
 
 TEST(ServeProtocolEdge, StatsAllAnswersAggregateInStdinSessions)
 {
+  // A session without a shared aggregate (no server around it) is its own
+  // aggregate: one connection, one session.
   ClassStore store = make_store(3, 0xed17ULL);
-  const std::string hex = to_hex(store.records().front().representative);
-  ServeStats stats;
-  const auto lines =
-      run_serve(store, "lookup " + hex + "\nstats all\nstats bogus\nquit\n", &stats);
-  // `stats all` = one aggregate line (ending in widths=<count>) plus one
-  // per-width row for each served store — one row for a single-store loop.
-  ASSERT_EQ(lines.size(), 5u);
-  EXPECT_EQ(lines[1].rfind("ok connections=1 sessions=1 requests=2 lookups=1", 0), 0u)
-      << lines[1];
-  EXPECT_NE(lines[1].find(" widths=1"), std::string::npos) << lines[1];
-  EXPECT_EQ(lines[2].rfind("ok width=3 lookups=1 ", 0), 0u) << lines[2];
-  EXPECT_EQ(lines[3], "err stats takes no argument or 'all'");
-  EXPECT_EQ(lines[4], "ok bye");
+  Session session{store};
+  ASSERT_EQ(session.lookup({store.records().front().representative}).size(), 1u);
+  const auto lines = session.stats();
+  // One aggregate line (ending in widths=<count>) plus one per-width row
+  // for each served store — one row for a single store.
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(lines[0].rfind("ok connections=1 sessions=1 requests=2 lookups=1", 0), 0u)
+      << lines[0];
+  EXPECT_NE(lines[0].find(" widths=1"), std::string::npos) << lines[0];
+  EXPECT_EQ(lines[1].rfind("ok width=3 lookups=1 ", 0), 0u) << lines[1];
 }
 
 TEST(ServeProtocolEdge, StatsAllReportsPerWidthRows)
 {
   StoreRouter router = make_router(0xed20ULL);
-  const std::string hex3 = to_hex(router.store_for(3)->records().front().representative);
-  const std::string hex4 = to_hex(router.store_for(4)->records().front().representative);
+  const TruthTable rep3 = router.store_for(3)->records().front().representative;
+  const TruthTable rep4 = router.store_for(4)->records().front().representative;
 
   // Two width-3 lookups and one width-4 lookup: the rows must attribute
   // traffic to the store that served it — at these widths every hit
   // resolves in the O(1) NPN4 table tier, never the cache or index.
-  const auto lines = run_router_serve(
-      router, "lookup " + hex3 + "\nlookup " + hex3 + "\nlookup " + hex4 + "\nstats all\nquit\n");
-  ASSERT_EQ(lines.size(), 7u);
-  EXPECT_NE(lines[3].find(" lookups=3 "), std::string::npos) << lines[3];
-  EXPECT_NE(lines[3].find(" table_hits=3 "), std::string::npos) << lines[3];
-  EXPECT_NE(lines[3].find(" widths=2"), std::string::npos) << lines[3];
-  EXPECT_EQ(lines[4],
+  Session session{router};
+  ASSERT_EQ(session.lookup({rep3, rep3}).size(), 2u);
+  ASSERT_EQ(session.lookup({rep4}).size(), 1u);
+  const auto lines = session.stats();
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_NE(lines[0].find(" lookups=3 "), std::string::npos) << lines[0];
+  EXPECT_NE(lines[0].find(" table_hits=3 "), std::string::npos) << lines[0];
+  EXPECT_NE(lines[0].find(" widths=2"), std::string::npos) << lines[0];
+  EXPECT_EQ(lines[1],
             "ok width=3 lookups=2 cache_hits=0 memo_hits=0 table_hits=2 index_hits=0 live=0 "
-            "appended=0")
-      << lines[4];
-  EXPECT_EQ(lines[5],
+            "appended=0");
+  EXPECT_EQ(lines[2],
             "ok width=4 lookups=1 cache_hits=0 memo_hits=0 table_hits=1 index_hits=0 live=0 "
-            "appended=0")
-      << lines[5];
-  EXPECT_EQ(lines[6], "ok bye");
+            "appended=0");
 }
 
 TEST(ServeProtocolEdge, StatsAllCountsAppendsPerWidth)
 {
   StoreRouter router = make_router(0xed21ULL);
-  std::mt19937_64 rng{0xed22ULL};
-  TruthTable novel{4};
-  do {
-    novel = tt_random(4, rng);
-  } while (router.lookup(novel).has_value());
-
-  ServeOptions options;
-  options.append_on_miss = true;
-  const auto lines =
-      run_router_serve(router, "lookup " + to_hex(novel) + "\nstats all\nquit\n", nullptr, options);
-  ASSERT_EQ(lines.size(), 5u);
-  EXPECT_EQ(lines[2],
+  const TruthTable novel = novel_function(*router.store_for(4), 0xed22ULL);
+  Session session{router};
+  ASSERT_EQ(session.append({novel}).size(), 1u);
+  const auto lines = session.stats();
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_EQ(lines[1],
             "ok width=3 lookups=0 cache_hits=0 memo_hits=0 table_hits=0 index_hits=0 live=0 "
-            "appended=0")
-      << lines[2];
-  EXPECT_EQ(lines[3],
+            "appended=0");
+  EXPECT_EQ(lines[2],
             "ok width=4 lookups=1 cache_hits=0 memo_hits=0 table_hits=0 index_hits=0 live=1 "
-            "appended=1")
-      << lines[3];
+            "appended=1");
 }
 
 TEST(ServeProtocolEdge, StatsLineReportsErrors)
 {
   ClassStore store = make_store(3, 0xed18ULL);
-  ServeStats stats;
-  const auto lines = run_serve(store, "frobnicate\nstats\nquit\n", &stats);
-  ASSERT_EQ(lines.size(), 3u);
-  EXPECT_NE(lines[1].find(" errors=1"), std::string::npos) << lines[1];
-}
-
-TEST(ServeProtocolEdge, LookupAtPinsOperandWidthThroughTheRouter)
-{
-  StoreRouter router = make_router(0xed30ULL);
-  const std::string hex3 = to_hex(router.store_for(3)->records().front().representative);
-  const std::string hex4 = to_hex(router.store_for(4)->records().front().representative);
-  ServeStats stats;
-  const auto lines = run_router_serve(router,
-                                      "lookup@3 " + hex3 +        // pinned, digits match
-                                          "\nlookup@4 " + hex3 +  // pinned, wrong digit count
-                                          "\nlookup@5 " + hex4 + hex4 +  // no width-5 store
-                                          "\nlookup@xy " + hex3 +        // malformed override
-                                          "\nmlookup@4 " + hex4 + " " + hex4 + "\nquit\n",
-                                      &stats);
-  ASSERT_EQ(lines.size(), 7u);
-  EXPECT_EQ(lines[0].rfind("ok id=", 0), 0u) << lines[0];
-  EXPECT_EQ(lines[1], "err operand '" + hex3 + "': expected 4 hex digits for 4 variables, got 2");
-  EXPECT_EQ(lines[2], "err no store routes width 5");
-  EXPECT_EQ(lines[3].rfind("err bad width in 'lookup@xy'", 0), 0u) << lines[3];
-  EXPECT_EQ(lines[4].rfind("ok id=", 0), 0u) << lines[4];
-  EXPECT_EQ(lines[5].rfind("ok id=", 0), 0u) << lines[5];
-  EXPECT_EQ(lines[6], "ok bye");
-  EXPECT_EQ(stats.errors, 3u);
-}
-
-TEST(ServeProtocolEdge, LookupAtChecksTheSingleStoreWidth)
-{
-  ClassStore store = make_store(3, 0xed31ULL);
-  const std::string hex = to_hex(store.records().front().representative);
-  const auto lines = run_serve(
-      store, "lookup@3 " + hex + "\nlookup@4 " + hex + hex + "\nquit\n");
-  ASSERT_EQ(lines.size(), 3u);
-  EXPECT_EQ(lines[0].rfind("ok id=", 0), 0u) << lines[0];
-  EXPECT_EQ(lines[1], "err store serves width 3, not 4");
-}
-
-TEST(ServeProtocolEdge, SingleNibbleWithoutWidth2StoreSuggestsLookupAt)
-{
-  // The router serves widths 3 and 4 only; a single-nibble operand infers
-  // n = 2 (genuinely ambiguous: n = 0, 1, 2 all encode as one digit), so
-  // the err must point at the lookup@<n> escape hatch.
-  StoreRouter router = make_router(0xed32ULL);
-  const auto lines = run_router_serve(router, "lookup a\nquit\n");
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_EQ(lines[0].rfind("err no store routes width 2", 0), 0u) << lines[0];
-  EXPECT_NE(lines[0].find("lookup@<n>"), std::string::npos) << lines[0];
-}
-
-TEST(ServeProtocolEdge, SingleNibbleWithOneCandidateWidthAnswersDirectly)
-{
-  // Only width 2 of the one-digit widths is routed, so a single nibble is
-  // not ambiguous in this session: it resolves through the normal tier
-  // stack — which, at width 2, is the O(1) NPN4 table.
-  std::vector<TruthTable> all2;
-  for (std::uint64_t bits = 0; bits < 16; ++bits) {
-    all2.push_back(TruthTable::from_word(2, bits));
-  }
-  StoreRouter router;
-  router.attach(std::make_unique<ClassStore>(build_class_store(all2, {})));
-  router.attach(std::make_unique<ClassStore>(make_store(4, 0xed34ULL)));
-
-  ServeStats stats;
-  const auto lines = run_router_serve(router, "lookup c\nlookup 6\nstats all\nquit\n", &stats);
-  ASSERT_EQ(lines.size(), 6u);
-  EXPECT_EQ(lines[0].rfind("ok id=", 0), 0u) << lines[0];
-  EXPECT_NE(lines[0].find(" src=table "), std::string::npos) << lines[0];
-  EXPECT_NE(lines[0].find(" known=1"), std::string::npos) << lines[0];
-  EXPECT_EQ(lines[1].rfind("ok id=", 0), 0u) << lines[1];
-  // Both lookups land on the width-2 row.
-  EXPECT_EQ(lines[3].rfind("ok width=2 lookups=2 ", 0), 0u) << lines[3];
-  EXPECT_EQ(stats.lookups, 2u);
-  EXPECT_EQ(stats.table_hits, 2u);
-  EXPECT_EQ(stats.errors, 0u);
-}
-
-TEST(ServeProtocolEdge, SingleNibbleWithAgreeingCandidateWidthsAnswersOnce)
-{
-  // Widths 1 and 2 are both routed and both hold exactly the constant-0
-  // class as class 0: every read-only probe of operand '0' names the same
-  // answer (id 0, rep 0, known), so the session answers it — once, at the
-  // smallest candidate width — instead of erring.
-  StoreRouter router;
-  router.attach(std::make_unique<ClassStore>(
-      build_class_store(std::vector<TruthTable>{TruthTable::from_word(1, 0)}, {})));
-  router.attach(std::make_unique<ClassStore>(
-      build_class_store(std::vector<TruthTable>{TruthTable::from_word(2, 0)}, {})));
-
-  ServeStats stats;
-  const auto lines = run_router_serve(router, "lookup 0\nstats all\nquit\n", &stats);
-  ASSERT_EQ(lines.size(), 5u);
-  EXPECT_EQ(lines[0].rfind("ok id=0 rep=0 ", 0), 0u) << lines[0];
-  EXPECT_NE(lines[0].find(" known=1"), std::string::npos) << lines[0];
-  // Counted exactly once, attributed to the smallest candidate width.
-  EXPECT_EQ(stats.lookups, 1u);
-  EXPECT_EQ(stats.errors, 0u);
-  EXPECT_EQ(lines[2].rfind("ok width=1 lookups=1 ", 0), 0u) << lines[2];
-  EXPECT_EQ(lines[3].rfind("ok width=2 lookups=0 ", 0), 0u) << lines[3];
-}
-
-TEST(ServeProtocolEdge, SingleNibbleWithDisagreeingCandidateWidthsErrs)
-{
-  // Width 1 holds constant-0; width 2 does not (it holds only the XOR
-  // class). The probes disagree — one width answers, the other does not —
-  // so the nibble stays an error, with the lookup@<n> escape hatch named.
-  StoreRouter router;
-  router.attach(std::make_unique<ClassStore>(
-      build_class_store(std::vector<TruthTable>{TruthTable::from_word(1, 0)}, {})));
-  router.attach(std::make_unique<ClassStore>(
-      build_class_store(std::vector<TruthTable>{TruthTable::from_word(2, 0x6)}, {})));
-
-  ServeStats stats;
-  const auto lines = run_router_serve(router, "lookup 0\nlookup@1 0\nquit\n", &stats);
-  ASSERT_EQ(lines.size(), 3u);
-  EXPECT_EQ(lines[0],
-            "err operand '0': ambiguous single nibble (widths 1,2 are routed and answer "
-            "differently — pin the width with lookup@<n>)")
-      << lines[0];
-  // The hint works: pinning the width answers through that store.
-  EXPECT_EQ(lines[1].rfind("ok id=0 rep=0 ", 0), 0u) << lines[1];
-  EXPECT_EQ(stats.errors, 1u);
-  EXPECT_EQ(stats.lookups, 1u);
+  Session session{store};
+  FrameHeader garbage;
+  garbage.magic = kFrameRequestMagic;
+  garbage.verb = 0x7E;
+  std::string frame;
+  encode_header(frame, garbage);
+  EXPECT_EQ(session.send(frame).status(), FrameStatus::kBadVerb);
+  const auto lines = session.stats();
+  ASSERT_FALSE(lines.empty());
+  EXPECT_NE(lines[0].find(" errors=1 "), std::string::npos) << lines[0];
 }
 
 TEST(ServeProtocolEdge, StatsAllCarriesCompactionAndLatencyFields)
 {
-  ClassStore store = make_store(3, 0xed40ULL);
-  const std::string hex = to_hex(store.records().front().representative);
-  const auto lines = run_serve(store, "lookup " + hex + "\nstats all\nquit\n");
-  ASSERT_EQ(lines.size(), 4u);
-  const std::string& agg = lines[1];
+  // Width 5 with a cold cache: every lookup canonicalizes, so the frame
+  // takes microseconds and its latency cannot round to 0.0.
+  ClassStore store = make_store(5, 0xed40ULL);
+  store.clear_hot_cache();
+  std::vector<TruthTable> reps;
+  for (const auto& record : store.records()) {
+    reps.push_back(record.representative);
+  }
+  Session session{store};
+  ASSERT_EQ(session.lookup(reps).size(), reps.size());
+  const auto lines = session.stats();
+  ASSERT_EQ(lines.size(), 2u);
+  const std::string& agg = lines[0];
   // The compactor surface and the request-latency quantiles ride on the
   // aggregate line; `widths=` must stay the LAST field (clients key their
   // row-count parsing off it).
   EXPECT_NE(agg.find(" compactions="), std::string::npos) << agg;
   EXPECT_NE(agg.find(" compact_bytes="), std::string::npos) << agg;
   EXPECT_NE(agg.find(" last_compact_ms="), std::string::npos) << agg;
-  EXPECT_NE(agg.find(" p50_us="), std::string::npos) << agg;
-  EXPECT_NE(agg.find(" p99_us="), std::string::npos) << agg;
+  // The quantiles are the lookup/append frame latencies: nonzero after the
+  // lookup frame above.
+  EXPECT_GT(field(agg, "p50_us"), 0.0) << agg;
+  EXPECT_GT(field(agg, "p99_us"), 0.0) << agg;
   const std::size_t widths_at = agg.find(" widths=");
   ASSERT_NE(widths_at, std::string::npos) << agg;
   EXPECT_EQ(agg.find(' ', widths_at + 1), std::string::npos) << "widths= must be last: " << agg;
@@ -561,44 +598,27 @@ TEST(ServeProtocolEdge, StatsAllCarriesCompactionAndLatencyFields)
 TEST(ServeProtocolEdge, MetricsVerbFramesThePrometheusDump)
 {
   ClassStore store = make_store(4, 0xed41ULL);
-  const std::string hex = to_hex(store.records().front().representative);
-  const auto lines = run_serve(store, "lookup " + hex + "\nmetrics\nquit\n");
-  // Framing: `ok metrics lines=<k>`, then exactly k payload lines, then the
-  // quit response — a protocol client reads precisely k lines and is back
-  // in sync.
-  ASSERT_GE(lines.size(), 3u);
-  ASSERT_EQ(lines[1].rfind("ok metrics lines=", 0), 0u) << lines[1];
-  const std::size_t payload = std::stoul(lines[1].substr(std::string{"ok metrics lines="}.size()));
-  ASSERT_EQ(lines.size(), 2u + payload + 1u);
-  EXPECT_EQ(lines.back(), "ok bye");
+  Session session{store};
+  ASSERT_EQ(session.lookup({store.records().front().representative}).size(), 1u);
+  const FrameResponse response = session.send(encode_control_request(FrameVerb::kMetrics));
+  ASSERT_EQ(response.status(), FrameStatus::kOk);
+  const std::string& body = response.payload;
 
-  std::string body;
-  for (std::size_t i = 2; i < 2 + payload; ++i) {
-    // Payload lines are Prometheus series, never protocol responses.
-    EXPECT_NE(lines[i].rfind("ok ", 0), 0u) << lines[i];
-    EXPECT_NE(lines[i].rfind("err ", 0), 0u) << lines[i];
-    body += lines[i] + "\n";
-  }
-  // The serve and store instrumentation must be present: the session's own
-  // request latency and the store's per-tier lookup series (resolved at
+  // The serve and store instrumentation must be present: the frame
+  // latency series and the store's per-tier lookup series (resolved at
   // store construction, so they exist even before traffic).
-  EXPECT_NE(body.find("facet_serve_request_latency{verb=\"lookup\""), std::string::npos);
-  EXPECT_NE(body.find("facet_serve_request_latency_count{verb=\"lookup\"}"), std::string::npos);
+  EXPECT_NE(body.find("facet_serve_frame_latency{proto=\"v2\",verb=\"lookup\""),
+            std::string::npos);
   EXPECT_NE(body.find("facet_store_lookup_latency{tier=\"cache\""), std::string::npos);
   EXPECT_NE(body.find("facet_store_lookup_latency{tier=\"table\""), std::string::npos);
   EXPECT_NE(body.find("facet_store_hot_cache_entries"), std::string::npos);
 
   // The lookup preceding the scrape must have landed in its series with a
-  // nonzero count: find the verb="lookup" _count line and check its value.
-  const std::string count_key = "facet_serve_request_latency_count{verb=\"lookup\"} ";
+  // nonzero count: find the lookup _count line and check its value.
+  const std::string count_key = "facet_serve_frame_latency_count{proto=\"v2\",verb=\"lookup\"} ";
   const std::size_t at = body.find(count_key);
   ASSERT_NE(at, std::string::npos);
   EXPECT_GE(std::stoull(body.substr(at + count_key.size())), 1u);
-
-  // `metrics` takes no argument.
-  const auto err_lines = run_serve(store, "metrics now\nquit\n");
-  ASSERT_EQ(err_lines.size(), 2u);
-  EXPECT_EQ(err_lines[0], "err metrics takes no argument");
 }
 
 TEST(ServeProtocolEdge, SlowRequestThresholdLogsStructuredLines)
@@ -607,27 +627,33 @@ TEST(ServeProtocolEdge, SlowRequestThresholdLogsStructuredLines)
   // legitimately stay under any microsecond threshold.
   ClassStore store = make_store(5, 0xed42ULL);
   store.clear_hot_cache();
-  const std::string hex = to_hex(store.records().front().representative);
+  const TruthTable rep = store.records().front().representative;
 
   // Threshold of 1us: a cold lookup (semiclass + canonicalization) is
-  // microseconds-scale, so it must cross it; the line carries verb, width,
-  // resolving tier and the measured microseconds.
+  // microseconds-scale, so its frame must cross it; the line carries the
+  // frame verb, width, the last record's tier and the measured
+  // microseconds.
   ServeOptions options;
   options.slow_request_us = 1;
   std::ostringstream slow;
   options.slow_log = &slow;
-  (void)run_serve(store, "lookup " + hex + "\nquit\n", nullptr, options);
+  {
+    Session session{store, options};
+    ASSERT_EQ(session.lookup({rep}).size(), 1u);
+  }
   const std::string logged = slow.str();
   ASSERT_NE(logged.find("facet-serve: slow verb=lookup width=5 src="), std::string::npos)
       << logged;
+  EXPECT_EQ(logged.find("src=-"), std::string::npos) << "the record's tier is named: " << logged;
   EXPECT_NE(logged.find(" us="), std::string::npos) << logged;
 
   // Threshold 0 disables the log entirely.
+  store.clear_hot_cache();
   ServeOptions quiet_options;
-  quiet_options.slow_request_us = 0;
   std::ostringstream quiet;
   quiet_options.slow_log = &quiet;
-  (void)run_serve(store, "lookup " + hex + "\nquit\n", nullptr, quiet_options);
+  Session quiet_session{store, quiet_options};
+  ASSERT_EQ(quiet_session.lookup({rep}).size(), 1u);
   EXPECT_TRUE(quiet.str().empty()) << quiet.str();
 }
 
@@ -652,18 +678,20 @@ TEST(ServeProtocolEdge, MemoHitsAppearInSrcAndStats)
     variant = apply_transform(rep, NpnTransform::random(4, rng));
   } while (variant == rep);
 
-  ServeStats stats;
-  const auto lines = run_serve(
-      store, "lookup " + to_hex(rep) + "\nlookup " + to_hex(variant) + "\nstats\nquit\n", &stats);
-  ASSERT_EQ(lines.size(), 4u);
-  EXPECT_NE(lines[0].find(" src=index "), std::string::npos) << lines[0];
-  EXPECT_NE(lines[1].find(" src=memo "), std::string::npos) << lines[1];
-  EXPECT_NE(lines[1].find(" known=1"), std::string::npos) << lines[1];
-  EXPECT_NE(lines[2].find(" memo_hits=1 "), std::string::npos) << lines[2];
-  EXPECT_EQ(stats.memo_hits, 1u);
+  Session session{store};
+  const auto first = session.lookup({rep});
+  const auto second = session.lookup({variant});
+  ASSERT_EQ(first.size(), 1u);
+  ASSERT_EQ(second.size(), 1u);
+  EXPECT_STREQ(src_of(first[0]), "index");
+  EXPECT_STREQ(src_of(second[0]), "memo");
+  EXPECT_EQ(second[0].known, 1);
+  const auto lines = session.stats();
+  ASSERT_FALSE(lines.empty());
+  EXPECT_NE(lines[0].find(" memo_hits=1 "), std::string::npos) << lines[0];
+  EXPECT_EQ(session.counters().memo_hits, 1u);
   // Both answers name the same class.
-  EXPECT_EQ(lines[0].substr(0, lines[0].find(" rep=")),
-            lines[1].substr(0, lines[1].find(" rep=")));
+  EXPECT_EQ(first[0].class_id, second[0].class_id);
   EXPECT_EQ(store.num_canonicalizations(), 1u) << "the memo hit must not re-canonicalize";
 }
 

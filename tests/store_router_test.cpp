@@ -1,6 +1,5 @@
 /// Tests of the multi-width store federation: StoreRouter dispatch, the
-/// router-backed BatchEngine fast path on mixed-width workloads, the
-/// router serve loop (width inference, mlookup batching), and the
+/// router-backed BatchEngine fast path on mixed-width workloads, and the
 /// fcs-merge union (dedup by canonical form, renumber by first occurrence).
 
 #include "facet/store/store_router.hpp"
@@ -18,7 +17,6 @@
 #include "facet/npn/exact_classifier.hpp"
 #include "facet/npn/transform.hpp"
 #include "facet/store/merge.hpp"
-#include "facet/store/serve.hpp"
 #include "facet/store/store_builder.hpp"
 #include "facet/tt/tt_generate.hpp"
 #include "facet/tt/tt_io.hpp"
@@ -162,98 +160,6 @@ TEST(StoreRouter, BatchEngineRouterFastPathIsBitIdenticalOnMixedWidths)
 
   BatchEngine fp_engine{ClassifierKind::kFp};
   EXPECT_THROW(fp_engine.attach_router(&router), std::invalid_argument);
-}
-
-// -- serve protocol ----------------------------------------------------------
-
-std::vector<std::string> run_router_serve(StoreRouter& router, const std::string& script,
-                                          ServeStats* stats_out = nullptr,
-                                          const ServeOptions& options = {})
-{
-  std::istringstream in{script};
-  std::ostringstream out;
-  const ServeStats stats = serve_router_loop(router, in, out, options);
-  if (stats_out != nullptr) {
-    *stats_out = stats;
-  }
-  std::vector<std::string> lines;
-  std::istringstream reader{out.str()};
-  std::string line;
-  while (std::getline(reader, line)) {
-    lines.push_back(line);
-  }
-  return lines;
-}
-
-TEST(StoreRouterServe, HexOperandWidthInference)
-{
-  EXPECT_EQ(hex_operand_width("8"), 2);
-  EXPECT_EQ(hex_operand_width("e8"), 3);
-  EXPECT_EQ(hex_operand_width("688d"), 4);
-  EXPECT_EQ(hex_operand_width("0x688d"), 4);
-  EXPECT_EQ(hex_operand_width(std::string(8, 'a')), 5);
-  EXPECT_EQ(hex_operand_width(std::string(16, 'a')), 6);
-  EXPECT_EQ(hex_operand_width(std::string(32, 'a')), 7);
-  EXPECT_EQ(hex_operand_width(std::string(64, 'a')), 8);
-  EXPECT_EQ(hex_operand_width(""), -1);
-  EXPECT_EQ(hex_operand_width("abc"), -1);   // 3 digits: not a power of two
-  EXPECT_EQ(hex_operand_width("0x"), -1);
-}
-
-TEST(StoreRouterServe, OneSessionAnswersMixedWidths)
-{
-  std::vector<std::vector<TruthTable>> datasets;
-  StoreRouter router = make_router(3, 5, 0x40c7e5ULL, &datasets);
-  const std::string hex3 = to_hex(datasets[0].front());
-  const std::string hex4 = to_hex(datasets[1].front());
-  const std::string hex5 = to_hex(datasets[2].front());
-
-  ServeStats stats;
-  const auto lines = run_router_serve(router,
-                                      "lookup " + hex3 + "\n" +
-                                          "lookup " + hex4 + "\n" +
-                                          "lookup " + hex5 + "\n" +
-                                          "lookup " + std::string(16, '0') + "\n" +  // n=6: unrouted
-                                          "lookup abc\n" +  // impossible digit count
-                                          "info\nstats\nquit\n",
-                                      &stats);
-  ASSERT_EQ(lines.size(), 8u);
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(lines[static_cast<std::size_t>(i)].rfind("ok id=", 0), 0u) << lines[i];
-    EXPECT_NE(lines[static_cast<std::size_t>(i)].find("known=1"), std::string::npos) << lines[i];
-  }
-  EXPECT_EQ(lines[3], "err no store routes width 6");
-  EXPECT_EQ(lines[4].rfind("err operand", 0), 0u) << lines[4];
-  EXPECT_EQ(lines[5].rfind("ok widths=3,4,5 stores=3 ", 0), 0u) << lines[5];
-  EXPECT_EQ(lines[6].rfind("ok requests=", 0), 0u);
-  EXPECT_EQ(lines[7], "ok bye");
-  EXPECT_EQ(stats.lookups, 3u);
-  EXPECT_EQ(stats.errors, 2u);
-}
-
-TEST(StoreRouterServe, MlookupBatchesMixedWidths)
-{
-  std::vector<std::vector<TruthTable>> datasets;
-  StoreRouter router = make_router(3, 4, 0x40c7e6ULL, &datasets);
-  const std::string hex3 = to_hex(datasets[0].front());
-  const std::string hex4 = to_hex(datasets[1].front());
-
-  ServeStats stats;
-  const auto lines = run_router_serve(
-      router, "mlookup " + hex3 + " " + hex4 + " zzzz " + hex3 + "\nmlookup\nquit\n", &stats);
-  ASSERT_EQ(lines.size(), 6u);
-  EXPECT_EQ(lines[0].rfind("ok id=", 0), 0u);
-  EXPECT_EQ(lines[1].rfind("ok id=", 0), 0u);
-  EXPECT_EQ(lines[2].rfind("err ", 0), 0u) << "bad operand answers err in place";
-  EXPECT_EQ(lines[3].rfind("ok id=", 0), 0u) << "the batch continues past errors";
-  EXPECT_EQ(lines[4].rfind("err mlookup takes", 0), 0u);
-  EXPECT_EQ(lines[5], "ok bye");
-  EXPECT_EQ(stats.lookups, 3u);
-  EXPECT_EQ(stats.errors, 2u);
-  // Widths 3 and 4 both sit under the NPN4 table tier, so every hit —
-  // including the repeat within the batch — answers src=table.
-  EXPECT_EQ(stats.table_hits, 3u);
-  EXPECT_EQ(stats.cache_hits, 0u);
 }
 
 // -- fcs-merge ---------------------------------------------------------------

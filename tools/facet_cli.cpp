@@ -4,11 +4,11 @@
 ///   classify     NPN-classify a list of truth tables (hex, one per line)
 ///   build-index  classify a dataset and persist it as a `.fcs` class store
 ///   lookup       resolve functions against a `.fcs` store (live fallback)
-///   serve        long-lived line-protocol loop over one `.fcs` store, or —
-///                with --route — over one store per width (queries dispatch
-///                by inferred width); --listen/--unix serve the same
-///                protocol over TCP / Unix sockets to concurrent clients,
-///                with background compaction and graceful shutdown
+///   serve        socket server (--listen TCP and/or --unix) speaking the
+///                protocol v2 frames over one `.fcs` store, or — with
+///                --route — over one store per width; background
+///                compaction and graceful shutdown
+///   query        one request frame to a running server, printed as text
 ///   fleet        one writable primary + N read-only replica processes on
 ///                one store directory; replicas re-open the base on every
 ///                compaction the primary adopts (--reload-poll-ms)
@@ -26,11 +26,11 @@
 ///   facet_cli classify --n 6 --method exact --jobs 4 < functions.txt
 ///   facet_cli build-index --n 6 --input functions.txt --out set6.fcs --jobs 0
 ///   facet_cli lookup --index set6.fcs --mmap e8e8e8e8e8e8e8e8
-///   facet_cli serve --index set6.fcs --append --flush < requests.txt
-///   facet_cli serve --route set4.fcs set5.fcs set6.fcs --mmap
-///   facet_cli serve --index set6.fcs --listen 127.0.0.1:7533 --append
-///       --compact-after-runs 4
+///   facet_cli lookup --index set6.fcs --append --flush e8e8e8e8e8e8e8e8
+///   facet_cli serve --index set6.fcs --listen 127.0.0.1:7533 --compact-after-runs 4
 ///   facet_cli serve --route set4.fcs set6.fcs --unix /tmp/facet.sock --readonly
+///   facet_cli query --connect 127.0.0.1:7533 lookup --width 6 e8e8e8e8e8e8e8e8
+///   facet_cli query --unix /tmp/facet.sock stats
 ///   facet_cli fcs-merge --out union6.fcs a6.fcs b6.fcs
 ///   facet_cli compact --index set6.fcs
 ///   facet_cli signatures --n 3 e8 f0
@@ -278,18 +278,6 @@ int cmd_lookup(const CliArgs& args)
   return 0;
 }
 
-void report_serve_stats(const ServeStats& stats)
-{
-  std::cerr << "served " << stats.requests << " request(s): " << stats.lookups << " lookup(s), "
-            << stats.cache_hits << " cache / " << stats.memo_hits << " memo / "
-            << stats.table_hits << " table / " << stats.index_hits << " index / " << stats.live
-            << " live, " << stats.errors << " error(s)";
-  if (stats.flushed != 0) {
-    std::cerr << ", flushed " << stats.flushed << " record(s)";
-  }
-  std::cerr << "\n";
-}
-
 void report_server_stats(const ServeAggregateStats& stats)
 {
   const ServeAggregateSnapshot agg = stats.snapshot();
@@ -300,7 +288,7 @@ void report_server_stats(const ServeAggregateStats& stats)
             << " error(s), flushed " << agg.flushed_records << " record(s), " << agg.compactions
             << " compaction(s) (" << agg.compacted_runs << " run(s), " << agg.compacted_records
             << " record(s))\n";
-  // The `stats all` per-width rows, for operators reading the exit log.
+  // The `stats` per-width rows, for operators reading the exit log.
   for (std::size_t n = 0; n < agg.width.size(); ++n) {
     const ServeWidthStats& row = agg.width[n];
     if (row.lookups == 0) {
@@ -380,7 +368,6 @@ ServeServerOptions server_options_from(const CliArgs& args)
   options.listen = args.get_string("listen", "");
   options.unix_path = args.get_string("unix", "");
   options.readonly = args.get_bool("readonly");
-  options.append_on_miss = args.get_bool("append");
   options.max_connections = static_cast<std::size_t>(args.get_uint64("max-conns", 64));
   const std::uint64_t idle_ms = args.get_uint64("idle-timeout-ms", 0);
   using IdleRep = std::chrono::milliseconds::rep;
@@ -398,110 +385,119 @@ ServeServerOptions server_options_from(const CliArgs& args)
   options.compact_after_bytes = args.get_uint64("compact-after-bytes", 0);
   options.slow_request_us = args.get_uint64("slow-us", 0);
   options.workers = static_cast<std::size_t>(args.get_uint64("workers", 0));
-  options.proto = args.get_string("proto", "auto");
-  if (options.proto != "auto" && options.proto != "v1" && options.proto != "v2") {
-    throw std::invalid_argument{"--proto: expected v1, v2 or auto"};
-  }
   return options;
 }
 
 int cmd_serve(const CliArgs& args)
 {
-  ServeOptions options;
-  options.append_on_miss = args.get_bool("append");
-  options.readonly = args.get_bool("readonly");
-  options.slow_request_us = args.get_uint64("slow-us", 0);
+  if (!args.has("listen") && !args.has("unix")) {
+    std::cerr << "usage: facet_cli serve (--index FILE.fcs | --route FILE.fcs [FILE.fcs...])\n"
+                 "       (--listen [HOST:]PORT | --unix PATH) [options]\n";
+    return 1;
+  }
   const std::string metrics_json = args.get_string("metrics-json", "");
-  if (options.readonly && options.append_on_miss) {
-    std::cerr << "error: --append and --readonly are mutually exclusive\n";
-    return 1;
-  }
-  // Network mode: same stores, same protocol, N concurrent connections.
-  const bool network = args.has("listen") || args.has("unix");
-  if (network && args.has("save")) {
-    std::cerr << "error: --save is not supported with --listen/--unix (appends flush to the "
-                 "delta log continuously; run `facet_cli compact` offline)\n";
-    return 1;
-  }
-
   if (args.get_bool("route")) {
-    // Route mode: one store per width behind a single session; every .fcs
+    // Route mode: one store per width behind a single server; every .fcs
     // path is positional, widths come from the file headers.
     if (args.positional().size() < 2) {
-      std::cerr << "usage: facet_cli serve --route FILE.fcs [FILE.fcs...] [--append] [--mmap] "
-                   "[--flush]\n";
-      return 1;
-    }
-    if (args.has("save")) {
-      // Refuse rather than silently drop the session's appends: compaction
-      // of N indexes is a deliberate per-index operation (`compact`).
-      std::cerr << "error: --save is not supported with --route; use --flush to append each "
-                   "store's delta log, then `facet_cli compact --index FILE.fcs` per index\n";
+      std::cerr << "usage: facet_cli serve --route FILE.fcs [FILE.fcs...] --listen ...\n";
       return 1;
     }
     const StoreOpenOptions open_options = open_options_from(args);
     StoreRouter router;
-    std::vector<std::pair<int, std::string>> paths;  // width -> path, for --flush
+    std::map<int, std::string> paths;  // width -> base path
     for (std::size_t k = 1; k < args.positional().size(); ++k) {
       const std::string& path = args.positional()[k];
       auto store = std::make_unique<ClassStore>(ClassStore::open(path, open_options));
-      paths.emplace_back(store->num_vars(), path);
+      paths.emplace(store->num_vars(), path);
       router.attach(std::move(store));
     }
-
-    if (network) {
-      ServeServer server{router, std::map<int, std::string>{paths.begin(), paths.end()},
-                         server_options_from(args)};
-      return run_serve_server(server, metrics_json);
-    }
-
-    if (options.append_on_miss) {
-      // Appends are flushed to each store's delta log when the session ends
-      // (quit or EOF) — a dropped pipe never silently loses classes.
-      for (const auto& [width, path] : paths) {
-        options.dlog_paths.emplace(width, ClassStore::delta_log_path(path));
-      }
-    }
-    const ServeStats stats = serve_router_loop(router, std::cin, std::cout, options);
-    dump_metrics_json(metrics_json);
-
-    if (args.get_bool("flush")) {
-      for (const auto& [width, path] : paths) {
-        ClassStore* store = router.store_for(width);
-        const std::size_t flushed = store->flush_delta(ClassStore::delta_log_path(path));
-        if (flushed != 0) {
-          std::cerr << "flushed " << flushed << " record(s) to "
-                    << ClassStore::delta_log_path(path) << "\n";
-        }
-      }
-    }
-    report_serve_stats(stats);
-    return 0;
+    ServeServer server{router, std::move(paths), server_options_from(args)};
+    return run_serve_server(server, metrics_json);
   }
 
   const std::string index = args.get_string("index", "");
   if (index.empty()) {
-    std::cerr << "usage: facet_cli serve --index FILE.fcs [--append] [--mmap] [--flush] "
-                 "[--save[=FILE]]\n"
-                 "       facet_cli serve --route FILE.fcs [FILE.fcs...] [--append] [--mmap]\n";
+    std::cerr << "usage: facet_cli serve --index FILE.fcs --listen ...\n";
     return 1;
   }
   ClassStore store = ClassStore::open(index, open_options_from(args));
+  ServeServer server{store, index, server_options_from(args)};
+  return run_serve_server(server, metrics_json);
+}
 
-  if (network) {
-    ServeServer server{store, index, server_options_from(args)};
-    return run_serve_server(server, metrics_json);
+/// `facet_cli query`: sends one request frame (lookup/append/stats/metrics)
+/// to a running server, then `quit`, and prints the answers as text — one
+/// `ok id=<id> src=<tier> known=<k>` line per operand (`miss` for a lookup
+/// miss), the text payload of stats/metrics, and `ok bye flushed=<k>`. An
+/// err frame prints `err <status>: <reason>` and exits 1.
+int cmd_query(const CliArgs& args)
+{
+  const std::string verb = args.positional().size() > 1 ? args.positional()[1] : "";
+  const bool batch = verb == "lookup" || verb == "append";
+  if ((!batch && verb != "stats" && verb != "metrics") ||
+      args.has("connect") == args.has("unix") || (batch && !args.has("width"))) {
+    std::cerr << "usage: facet_cli query (--connect HOST:PORT | --unix PATH)\n"
+                 "       (lookup|append --width N <hex>... | stats | metrics)\n";
+    return 1;
   }
-
-  if (options.append_on_miss) {
-    // Flush-on-exit: appends persist to the delta log on quit and EOF.
-    options.dlog_path = ClassStore::delta_log_path(index);
+  std::string request;
+  if (batch) {
+    const int width = static_cast<int>(args.get_int("width", 0));
+    std::vector<TruthTable> funcs;
+    for (std::size_t k = 2; k < args.positional().size(); ++k) {
+      funcs.push_back(from_hex(width, args.positional()[k]));
+    }
+    request = encode_batch_request(verb == "lookup" ? FrameVerb::kLookup : FrameVerb::kAppend,
+                                   width, funcs);
+  } else {
+    request = encode_control_request(verb == "stats" ? FrameVerb::kStats : FrameVerb::kMetrics);
   }
-  const ServeStats stats = serve_loop(store, std::cin, std::cout, options);
-  dump_metrics_json(metrics_json);
-
-  persist_store_if_requested(args, store, index);
-  report_serve_stats(stats);
+  const Socket socket = args.has("connect")
+                            ? connect_tcp(parse_tcp_endpoint(args.get_string("connect", "")))
+                            : connect_unix(args.get_string("unix", ""));
+  // The answer to the request, then the answer to quit.
+  for (const std::string& frame : {request, encode_control_request(FrameVerb::kQuit)}) {
+    const std::optional<FrameResponse> response = frame_round_trip(socket, frame);
+    if (!response.has_value()) {
+      std::cerr << "error: connection closed before a response frame\n";
+      return 1;
+    }
+    if (response->status() != FrameStatus::kOk) {
+      std::cout << "err " << frame_status_name(response->status()) << ": " << response->payload
+                << "\n";
+      return 1;
+    }
+    switch (static_cast<FrameVerb>(response->header.verb)) {
+      case FrameVerb::kLookup:
+      case FrameVerb::kAppend: {
+        const auto records = decode_records(response->payload);
+        if (!records.has_value()) {
+          std::cerr << "error: malformed record payload\n";
+          return 1;
+        }
+        for (const FrameRecord& record : *records) {
+          if (record.src == static_cast<std::uint8_t>(FrameSrc::kMiss)) {
+            std::cout << "miss\n";
+          } else {
+            std::cout << "ok id=" << record.class_id << " src=" << frame_src_name(record.src)
+                      << " known=" << static_cast<unsigned>(record.known) << "\n";
+          }
+        }
+        break;
+      }
+      case FrameVerb::kQuit:
+        std::cout << "ok bye flushed="
+                  << (response->payload.size() == 8
+                          ? read_u64(reinterpret_cast<const unsigned char*>(response->payload.data()))
+                          : 0)
+                  << "\n";
+        break;
+      default:
+        std::cout << response->payload;
+        break;
+    }
+  }
   return 0;
 }
 
@@ -521,7 +517,7 @@ int cmd_fleet(const CliArgs& args)
   const std::string listen = args.get_string("listen", "");
   if (index.empty() || listen.empty()) {
     std::cerr << "usage: facet_cli fleet --index FILE.fcs --listen HOST:PORT [--replicas N]\n"
-                 "       [--reload-poll-ms T] [--mmap] [--append]\n"
+                 "       [--reload-poll-ms T] [--mmap]\n"
                  "       [--compact-after-runs K] [--compact-after-bytes B]\n";
     return 1;
   }
@@ -742,35 +738,34 @@ void print_usage()
                "              [--flush] [--save[=FILE]] [--cache K]\n"
                "              (resolve functions; unknown classes classify live; --mmap\n"
                "               serves the index from a read-only mapping)\n"
-               "  serve       --index FILE.fcs [--append] [--mmap] [--flush] [--save[=FILE]]\n"
-               "              [--cache K] [--slow-us T] [--metrics-json FILE]\n"
-               "              (line protocol on stdin/stdout: lookup <hex> | mlookup <hex>...\n"
-               "               | info | stats [all] | metrics | quit; with --append new classes\n"
-               "               flush to the index's delta log when the session ends;\n"
-               "               `metrics` returns the Prometheus-style telemetry registry;\n"
-               "               --slow-us T logs any request slower than T microseconds to\n"
-               "               stderr; --metrics-json FILE dumps the registry as JSON on exit)\n"
-               "  serve       --route FILE.fcs [FILE.fcs...] [--append] [--mmap] [--flush]\n"
-               "              (one store per width; query width inferred from hex length)\n"
-               "  serve       ... --listen [HOST:]PORT and/or --unix PATH [--readonly]\n"
-               "              [--max-conns N] [--idle-timeout-ms T] [--workers N]\n"
-               "              [--proto auto|v1|v2]\n"
+               "  serve       (--index FILE.fcs | --route FILE.fcs [FILE.fcs...])\n"
+               "              (--listen [HOST:]PORT and/or --unix PATH) [--mmap] [--cache K]\n"
+               "              [--readonly] [--max-conns N] [--idle-timeout-ms T] [--workers N]\n"
                "              [--compact-after-runs K] [--compact-after-bytes B]\n"
-               "              [--slow-us T] [--metrics-json FILE]\n"
-               "              (socket server: an epoll reactor owns every connection and a\n"
-               "               fixed worker pool (--workers, default = hardware threads)\n"
-               "               runs the sessions; --proto auto sniffs the v2 binary frame\n"
-               "               protocol vs the v1 line protocol per connection (first byte\n"
-               "               0xFB = v2), v1/v2 pin it; port 0 binds an ephemeral port,\n"
-               "               reported on stderr;\n"
-               "               --readonly rejects appends and live classification;\n"
+               "              [--reload-poll-ms T] [--slow-us T] [--metrics-json FILE]\n"
+               "              (socket server speaking protocol v2 frames — lookup | append\n"
+               "               | stats | metrics | quit — over one store, or one store per\n"
+               "               width with --route; an epoll reactor owns every connection\n"
+               "               and a fixed worker pool (--workers, default = hardware\n"
+               "               threads) runs the sessions; port 0 binds an ephemeral port,\n"
+               "               reported on stderr; appends flush to the index's delta log\n"
+               "               when a session ends;\n"
+               "               --readonly refuses appends;\n"
                "               --compact-after-* runs background compaction when a store's\n"
                "               delta runs / .dlog bytes cross the threshold;\n"
                "               --readonly --reload-poll-ms T re-stats the index every T ms\n"
                "               and re-opens it when the primary compacts (replica mode);\n"
-               "               SIGINT/SIGTERM drain connections and flush before exit)\n"
+               "               --slow-us T logs any request frame slower than T microseconds\n"
+               "               to stderr; --metrics-json FILE dumps the registry as JSON on\n"
+               "               exit; SIGINT/SIGTERM drain connections and flush before exit)\n"
+               "  query       (--connect HOST:PORT | --unix PATH)\n"
+               "              (lookup|append --width N <hex>... | stats | metrics)\n"
+               "              (one request frame, then quit; prints `ok id=<id> src=<tier>\n"
+               "               known=<k>` per operand (`miss` for a miss), the stats/metrics\n"
+               "               text, and `ok bye flushed=<k>`; an err frame prints\n"
+               "               `err <status>: <reason>` and exits 1)\n"
                "  fleet       --index FILE.fcs --listen HOST:PORT [--replicas N]\n"
-               "              [--reload-poll-ms T] [--mmap] [--append] [--compact-after-runs K]\n"
+               "              [--reload-poll-ms T] [--mmap] [--compact-after-runs K]\n"
                "              (writable primary on PORT + N forked --readonly replicas on\n"
                "               PORT+1..PORT+N, all over one store directory; replicas adopt\n"
                "               each compacted base the primary renames into place)\n"
@@ -814,6 +809,9 @@ int main(int argc, char** argv)
     }
     if (command == "serve") {
       return cmd_serve(args);
+    }
+    if (command == "query") {
+      return cmd_query(args);
     }
     if (command == "fleet") {
       return cmd_fleet(args);
