@@ -1,6 +1,7 @@
 #include "facet/engine/batch_engine.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -9,6 +10,7 @@
 #include "facet/engine/shard.hpp"
 #include "facet/engine/work_queue.hpp"
 #include "facet/npn/exact_canon.hpp"
+#include "facet/npn/fp_classifier.hpp"
 #include "facet/npn/matcher.hpp"
 #include "facet/npn/npn4_table.hpp"
 #include "facet/npn/semi_canonical.hpp"
@@ -30,8 +32,6 @@ struct BatchShardState {
   std::unordered_map<TruthTable, TruthTable, TruthTableHash> image_cache;
   /// kHierarchical level 2: semi-canonical image -> refined image.
   std::unordered_map<TruthTable, TruthTable, TruthTableHash> refine_cache;
-  /// fp kinds: input table -> full configured MSV.
-  std::unordered_map<TruthTable, std::vector<std::uint32_t>, TruthTableHash> msv_cache;
   /// kExact: input table -> class representative (first member of its NPN
   /// class ever seen in this shard).
   std::unordered_map<TruthTable, TruthTable, TruthTableHash> rep_cache;
@@ -55,7 +55,6 @@ struct BatchShardState {
   {
     image_cache.clear();
     refine_cache.clear();
-    msv_cache.clear();
     rep_cache.clear();
     exact_buckets.clear();
     semiclass_memo.clear();
@@ -108,37 +107,36 @@ struct StoreKeyHash {
   }
 };
 
-struct Hash128 {
-  std::uint64_t lo = 0;
-  std::uint64_t hi = 0;
-  friend bool operator==(const Hash128&, const Hash128&) = default;
-};
-
-struct Hash128Hasher {
-  [[nodiscard]] std::size_t operator()(const Hash128& h) const noexcept
-  {
-    return static_cast<std::size_t>(h.lo);
-  }
-};
-
 /// Dedup of a shard's functions: uniques in first-occurrence order plus the
 /// unique index of every member. Identical tables are always classified
 /// together by every classifier, so this is the universal intra-call memo.
+/// The uniques point into the classified span, which outlives the Dedup.
 struct Dedup {
-  std::vector<TruthTable> uniques;
+  std::vector<const TruthTable*> uniques;
   std::vector<std::uint32_t> unique_of;  // per member
+};
+
+struct PointeeHash {
+  [[nodiscard]] std::size_t operator()(const TruthTable* tt) const noexcept { return tt->hash(); }
+};
+
+struct PointeeEqual {
+  [[nodiscard]] bool operator()(const TruthTable* a, const TruthTable* b) const noexcept
+  {
+    return *a == *b;
+  }
 };
 
 Dedup dedup_members(std::span<const TruthTable> funcs, const std::vector<std::uint32_t>& members)
 {
   Dedup d;
   d.unique_of.reserve(members.size());
-  std::unordered_map<TruthTable, std::uint32_t, TruthTableHash> seen;
+  std::unordered_map<const TruthTable*, std::uint32_t, PointeeHash, PointeeEqual> seen;
   seen.reserve(members.size());
   for (const auto i : members) {
-    const auto [it, inserted] = seen.emplace(funcs[i], static_cast<std::uint32_t>(d.uniques.size()));
+    const auto [it, inserted] = seen.emplace(&funcs[i], static_cast<std::uint32_t>(d.uniques.size()));
     if (inserted) {
-      d.uniques.push_back(funcs[i]);
+      d.uniques.push_back(&funcs[i]);
     }
     d.unique_of.push_back(it->second);
   }
@@ -227,8 +225,8 @@ LocalResult classify_shard(ClassifierKind kind, const BatchEngineOptions& option
     case ClassifierKind::kExact: {
       std::vector<TruthTable> rep_of_unique;
       rep_of_unique.reserve(d.uniques.size());
-      for (const auto& u : d.uniques) {
-        rep_of_unique.push_back(memoized(state.rep_cache, u, hits, misses, [&](const TruthTable& tt) {
+      for (const TruthTable* u : d.uniques) {
+        rep_of_unique.push_back(memoized(state.rep_cache, *u, hits, misses, [&](const TruthTable& tt) {
           auto& reps = state.exact_buckets[build_msv(tt, options.signature)];
           for (const auto& rep : reps) {
             if (npn_equivalent(rep, tt)) {
@@ -254,7 +252,8 @@ LocalResult classify_shard(ClassifierKind kind, const BatchEngineOptions& option
         std::size_t store_cache_hits = 0;
         std::size_t store_table_hits = 0;
         std::size_t store_index_hits = 0;
-        for (const auto& u : d.uniques) {
+        for (const TruthTable* unique : d.uniques) {
+          const TruthTable& u = *unique;
           const ClassStore* resolved =
               router != nullptr ? router->store_for(u.num_vars()) : store;
           const bool width_matches =
@@ -296,8 +295,8 @@ LocalResult classify_shard(ClassifierKind kind, const BatchEngineOptions& option
     case ClassifierKind::kHierarchical: {
       std::vector<TruthTable> image_of_unique;
       image_of_unique.reserve(d.uniques.size());
-      for (const auto& u : d.uniques) {
-        image_of_unique.push_back(memoized(state.image_cache, u, hits, misses, [&](const TruthTable& tt) {
+      for (const TruthTable* u : d.uniques) {
+        image_of_unique.push_back(memoized(state.image_cache, *u, hits, misses, [&](const TruthTable& tt) {
           switch (kind) {
             case ClassifierKind::kExhaustive:
               return canonical_via_semiclass(state, tt);
@@ -325,33 +324,58 @@ LocalResult classify_shard(ClassifierKind kind, const BatchEngineOptions& option
       return group_by_key<TruthTable, TruthTableHash>(d, std::move(image_of_unique), hits, misses);
     }
 
-    case ClassifierKind::kFp: {
-      std::vector<std::vector<std::uint32_t>> msv_of_unique;
-      msv_of_unique.reserve(d.uniques.size());
-      for (const auto& u : d.uniques) {
-        msv_of_unique.push_back(memoized(state.msv_cache, u, hits, misses, [&](const TruthTable& tt) {
-          return build_msv(tt, options.signature);
-        }));
-      }
-      return group_by_key<std::vector<std::uint32_t>, U32VectorHash>(d, std::move(msv_of_unique), hits,
-                                                                     misses);
-    }
-
-    case ClassifierKind::kFpHashed: {
-      std::vector<Hash128> key_of_unique;
-      key_of_unique.reserve(d.uniques.size());
-      for (const auto& u : d.uniques) {
-        const auto& msv = memoized(state.msv_cache, u, hits, misses, [&](const TruthTable& tt) {
-          return build_msv(tt, options.signature);
-        });
-        // Same two-seed 128-bit key as classify_fp_hashed.
-        key_of_unique.push_back(Hash128{hash_u32_span(msv, 0xa0761d6478bd642fULL),
-                                        hash_u32_span(msv, 0x589965cc75374cc3ULL)});
-      }
-      return group_by_key<Hash128, Hash128Hasher>(d, std::move(key_of_unique), hits, misses);
-    }
+    case ClassifierKind::kFp:
+    case ClassifierKind::kFpHashed:
+      break;  // never sharded: see classify_fp_kinds
   }
-  throw std::logic_error{"unknown ClassifierKind"};
+  throw std::logic_error{"unsharded ClassifierKind"};
+}
+
+/// The fp kinds: the MSV of every distinct input and its class key are
+/// built exactly once, in parallel chunks, then the keys are grouped in
+/// first-occurrence order by the sequential classifiers' own loop
+/// (MsvGrouper). Grouping distinct inputs in that order gives every
+/// duplicate its first occurrence's id, so the result equals classify_fp /
+/// classify_fp_hashed by construction. No shards and no memo: the counters
+/// count MSVs built (misses) and duplicates (hits). `chunk_latency` gets
+/// one sample per chunk.
+ClassificationResult classify_fp_kinds(std::span<const TruthTable> funcs, MsvKeyKind kind,
+                                       const SignatureConfig& config, WorkerPool& pool,
+                                       obs::LatencyHistogram& chunk_latency, BatchEngineStats* stats)
+{
+  std::vector<std::uint32_t> all(funcs.size());
+  std::iota(all.begin(), all.end(), 0U);
+  const Dedup d = dedup_members(funcs, all);
+
+  MsvGrouper grouper{kind};
+  std::vector<MsvGrouper::Key> keys(d.uniques.size());
+  pool.run_chunked(keys.size(), [&](std::size_t begin, std::size_t end) {
+    const std::uint64_t t0 = obs::now_ticks();
+    for (std::size_t u = begin; u < end; ++u) {
+      keys[u] = grouper.key_of(build_msv(*d.uniques[u], config));
+    }
+    chunk_latency.record_ns(obs::ticks_to_ns(obs::now_ticks() - t0));
+  });
+
+  std::vector<std::uint32_t> class_of_unique;
+  class_of_unique.reserve(keys.size());
+  for (auto& k : keys) {
+    class_of_unique.push_back(grouper.class_of(std::move(k)));
+  }
+  ClassificationResult result;
+  result.num_classes = grouper.num_classes();
+  result.class_of.reserve(funcs.size());
+  for (const auto u : d.unique_of) {
+    result.class_of.push_back(class_of_unique[u]);
+  }
+
+  if (stats != nullptr) {
+    *stats = {};
+    stats->threads = pool.num_threads();
+    stats->cache_hits = funcs.size() - d.uniques.size();
+    stats->cache_misses = d.uniques.size();
+  }
+  return result;
 }
 
 }  // namespace
@@ -452,13 +476,11 @@ void BatchEngine::attach_router(const StoreRouter* router)
 
 ClassificationResult BatchEngine::classify(std::span<const TruthTable> funcs, BatchEngineStats* stats)
 {
-  // The fp kinds class on MSV equality, so the shard key must be a function
-  // of the full MSV; every other kind classes on keys that imply NPN
-  // equivalence, for which the cheap invariant prefix is safe. See shard.hpp.
-  const ShardKeyKind key_kind = (kind_ == ClassifierKind::kFp || kind_ == ClassifierKind::kFpHashed)
-                                    ? ShardKeyKind::kFullMsv
-                                    : ShardKeyKind::kInvariantPrefix;
-  const ShardPlan plan = make_shard_plan(funcs, num_shards_, key_kind, options_.signature, *pool_);
+  if (kind_ == ClassifierKind::kFp || kind_ == ClassifierKind::kFpHashed) {
+    const MsvKeyKind key = kind_ == ClassifierKind::kFp ? MsvKeyKind::kFull : MsvKeyKind::kHash128;
+    return classify_fp_kinds(funcs, key, options_.signature, *pool_, *shard_latency_, stats);
+  }
+  const ShardPlan plan = make_shard_plan(funcs, num_shards_, *pool_);
 
   std::vector<LocalResult> locals(plan.num_shards);
   pool_->run_indexed(plan.num_shards, [&](std::size_t s) {

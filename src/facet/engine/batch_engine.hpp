@@ -3,8 +3,9 @@
 ///        the library.
 ///
 /// The engine wraps each sequential classifier (exact, exhaustive/Kitty,
-/// fp, fp-hashed, semi-canonical, hierarchical, co-designed) behind one API
-/// and parallelizes classification in three phases:
+/// fp, fp-hashed, semi-canonical, hierarchical, co-designed) behind one API.
+/// The canonical-form kinds (all but fp / fp-hashed) parallelize
+/// classification in three phases:
 ///
 ///  1. shard: partition the input by a cheap NPN-invariant key (shard.hpp)
 ///     chosen so that no class of the wrapped classifier can straddle two
@@ -20,8 +21,14 @@
 /// Because every wrapped classifier assigns dense ids by first occurrence
 /// and its classes are per-function-key partitions, the merged result is
 /// bit-identical to the sequential classifier's output — same num_classes,
-/// same class_of vector — for any thread or shard count. The batch-engine
-/// tests assert this exactly.
+/// same class_of vector — for any thread or shard count.
+///
+/// The fp kinds have no shards and no memo: their work is the MSV alone.
+/// The engine deduplicates the batch, builds the MSV of each distinct input
+/// exactly once in parallel chunks on the worker pool, then assigns ids
+/// with the sequential classifiers' own first-occurrence grouping loop
+/// (MsvGrouper, fp_classifier.hpp), so the result is bit-identical by
+/// construction. The batch-engine tests assert both paths exactly.
 
 #pragma once
 
@@ -66,7 +73,8 @@ enum class ClassifierKind {
 struct BatchEngineOptions {
   /// Worker threads (including the calling thread); 0 = hardware concurrency.
   std::size_t num_threads = 0;
-  /// Shards to partition into; 0 = 8 per thread (skew headroom).
+  /// Shards to partition into; 0 = 8 per thread (skew headroom). The fp
+  /// kinds do not shard.
   std::size_t num_shards = 0;
   /// Signature configuration for the fp kinds and exact bucketing.
   SignatureConfig signature = SignatureConfig::all();
@@ -74,17 +82,18 @@ struct BatchEngineOptions {
   CodesignOptions codesign{};
   /// Refinement budget forwarded to classify_hierarchical.
   std::size_t hierarchical_refine_budget = 64;
-  /// Keep per-shard canonical-form caches alive across classify() calls.
+  /// Keep per-shard canonical-form caches alive across classify() calls
+  /// (the fp kinds keep no cache).
   bool memoize = true;
 };
 
 /// Telemetry of one classify() call.
 struct BatchEngineStats {
   std::size_t threads = 0;         ///< workers used (incl. calling thread)
-  std::size_t shards_used = 0;     ///< shards with at least one function
-  std::size_t max_shard_size = 0;  ///< largest shard (skew indicator)
-  std::size_t cache_hits = 0;      ///< canonicalizations skipped (dups + memo)
-  std::size_t cache_misses = 0;    ///< canonicalizations actually performed
+  std::size_t shards_used = 0;     ///< shards with at least one function (0 for fp kinds)
+  std::size_t max_shard_size = 0;  ///< largest shard (skew indicator; 0 for fp kinds)
+  std::size_t cache_hits = 0;      ///< canonicalizations / MSVs skipped (dups + memo)
+  std::size_t cache_misses = 0;    ///< canonicalizations / MSVs actually computed
   std::size_t store_cache_hits = 0;  ///< attached-store hot-cache hits (no canonicalization)
   std::size_t store_table_hits = 0;  ///< attached-store NPN4 norm-table hits (width <= 4)
   std::size_t store_index_hits = 0;  ///< attached-store index hits (canonical known)
@@ -143,7 +152,8 @@ class BatchEngine {
   const ClassStore* store_ = nullptr;
   const StoreRouter* router_ = nullptr;
   /// `facet_batch_shard_classify_latency{classifier=...}` — per-shard
-  /// classify timing, resolved once at construction (obs/registry.hpp).
+  /// classify timing (for the fp kinds, per MSV-build chunk), resolved once
+  /// at construction (obs/registry.hpp).
   obs::LatencyHistogram* shard_latency_ = nullptr;
 };
 

@@ -2,26 +2,18 @@
 
 #include <algorithm>
 
+#include "facet/sig/msv.hpp"
 #include "facet/util/hash.hpp"
 
 namespace facet {
 
-std::uint64_t shard_key(const TruthTable& tt, ShardKeyKind kind, const SignatureConfig& config)
+std::uint64_t shard_key(const TruthTable& tt)
 {
-  std::uint64_t sig = 0;
-  switch (kind) {
-    case ShardKeyKind::kInvariantPrefix:
-      sig = msv_hash(tt, SignatureConfig{.use_ocv1 = true, .use_oiv = true});
-      break;
-    case ShardKeyKind::kFullMsv:
-      sig = msv_hash(tt, config);
-      break;
-  }
-  return hash_combine64(static_cast<std::uint64_t>(tt.num_vars()), sig);
+  return hash_combine64(static_cast<std::uint64_t>(tt.num_vars()),
+                        msv_hash(tt, SignatureConfig{.use_ocv1 = true, .use_oiv = true}));
 }
 
-ShardPlan make_shard_plan(std::span<const TruthTable> funcs, std::size_t num_shards, ShardKeyKind kind,
-                          const SignatureConfig& config, WorkerPool& pool)
+ShardPlan make_shard_plan(std::span<const TruthTable> funcs, std::size_t num_shards, WorkerPool& pool)
 {
   ShardPlan plan;
   plan.num_shards = std::max<std::size_t>(1, num_shards);
@@ -32,14 +24,9 @@ ShardPlan make_shard_plan(std::span<const TruthTable> funcs, std::size_t num_sha
   }
 
   // Key computation is the per-function hot loop; chunk it over the pool.
-  const std::size_t chunk = std::max<std::size_t>(64, funcs.size() / (pool.num_threads() * 8));
-  const std::size_t num_chunks = (funcs.size() + chunk - 1) / chunk;
-  pool.run_indexed(num_chunks, [&](std::size_t c) {
-    const std::size_t begin = c * chunk;
-    const std::size_t end = std::min(begin + chunk, funcs.size());
+  pool.run_chunked(funcs.size(), [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
-      plan.shard_of[i] =
-          static_cast<std::uint32_t>(shard_key(funcs[i], kind, config) % plan.num_shards);
+      plan.shard_of[i] = static_cast<std::uint32_t>(shard_key(funcs[i]) % plan.num_shards);
     }
   });
 

@@ -3,19 +3,18 @@
 ///
 /// The batch engine partitions its input by a shard key that is constant on
 /// every class the wrapped classifier can produce, so classifying shards
-/// independently and merging is exactly equivalent to one sequential run:
+/// independently and merging is exactly equivalent to one sequential run.
+/// The key hashes (input count, OCV1+OIV sub-MSV). The sub-MSV is an NPN
+/// invariant (Theorems 1 and 2), and every sharded classifier's class key
+/// implies NPN equivalence (exact, exhaustive, semi-canonical, co-designed,
+/// hierarchical — their keys are true transform images), so no class can
+/// straddle two shards.
 ///
-/// * kInvariantPrefix — hash of (input count, OCV1+OIV sub-MSV). The sub-MSV
-///   is an NPN invariant (Theorems 1 and 2), and every classifier whose class
-///   key implies NPN equivalence (exact, exhaustive, semi-canonical,
-///   co-designed, hierarchical — their keys are true transform images) can
-///   never form a class that straddles two shards.
-/// * kFullMsv — hash of the full configured MSV, for the signature
-///   classifiers (fp / fp-hashed) whose classes are "equal MSV". Equal MSVs
-///   hash equally, so their classes cannot straddle shards either; the
-///   cheaper prefix key would not be safe here, because the polarity chosen
-///   when minimizing a balanced function's full MSV can differ from the one
-///   minimizing the prefix alone.
+/// The fp kinds (fp / fp-hashed) are not sharded: they class on MSV
+/// equality, and the polarity chosen when minimizing a balanced function's
+/// full MSV can differ from the one minimizing the prefix alone, so the
+/// prefix key would not be safe. BatchEngine builds their MSVs in parallel
+/// and groups them in input order instead (batch_engine.hpp).
 ///
 /// Cheap-signature bucketing before expensive canonicalization is the same
 /// lever arXiv:2308.12311 pulls for exact classification; here it doubles as
@@ -29,19 +28,12 @@
 #include <vector>
 
 #include "facet/engine/work_queue.hpp"
-#include "facet/sig/msv.hpp"
 #include "facet/tt/truth_table.hpp"
 
 namespace facet {
 
-enum class ShardKeyKind {
-  kInvariantPrefix,  ///< input count + OCV1/OIV signature hash
-  kFullMsv,          ///< input count + full configured MSV hash
-};
-
 /// Shard key of one function. Deterministic across runs and thread counts.
-[[nodiscard]] std::uint64_t shard_key(const TruthTable& tt, ShardKeyKind kind,
-                                      const SignatureConfig& config);
+[[nodiscard]] std::uint64_t shard_key(const TruthTable& tt);
 
 /// A partition of [0, funcs.size()) into shards, input order preserved
 /// within each shard.
@@ -64,7 +56,6 @@ struct ShardPlan {
 
 /// Builds the shard plan; key computation fans out over `pool`.
 [[nodiscard]] ShardPlan make_shard_plan(std::span<const TruthTable> funcs, std::size_t num_shards,
-                                        ShardKeyKind kind, const SignatureConfig& config,
                                         WorkerPool& pool);
 
 }  // namespace facet

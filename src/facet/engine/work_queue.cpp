@@ -108,6 +108,15 @@ void WorkerPool::run_indexed(std::size_t count, const std::function<void(std::si
   }
 }
 
+void WorkerPool::run_chunked(std::size_t count, const std::function<void(std::size_t, std::size_t)>& fn)
+{
+  const std::size_t chunk = std::max<std::size_t>(16, count / (num_threads() * 32));
+  run_indexed((count + chunk - 1) / chunk, [&](std::size_t c) {
+    const std::size_t begin = c * chunk;
+    fn(begin, std::min(begin + chunk, count));
+  });
+}
+
 void WorkerPool::worker_loop()
 {
   for (;;) {

@@ -39,6 +39,11 @@ class WorkerPool {
   /// here after the batch drains.
   void run_indexed(std::size_t count, const std::function<void(std::size_t)>& fn);
 
+  /// Splits [0, count) into contiguous chunks, small enough (about 32 per
+  /// worker) that dynamic claiming evens out uneven item costs, and invokes
+  /// fn(begin, end) once per chunk through run_indexed().
+  void run_chunked(std::size_t count, const std::function<void(std::size_t, std::size_t)>& fn);
+
  private:
   void worker_loop();
 

@@ -1,60 +1,46 @@
 #include "facet/npn/fp_classifier.hpp"
 
-#include <unordered_map>
-
-#include "facet/util/hash.hpp"
-
 namespace facet {
 
-ClassificationResult classify_fp(std::span<const TruthTable> funcs, const SignatureConfig& config)
+MsvGrouper::Key MsvGrouper::key_of(std::vector<std::uint32_t> msv) const
 {
-  ClassificationResult result;
-  result.class_of.reserve(funcs.size());
-  // Keyed on the full MSV: a hash collision therefore cannot merge classes
-  // (Algorithm 1's hash is an implementation device, not the class identity).
-  std::unordered_map<std::vector<std::uint32_t>, std::uint32_t, U32VectorHash> classes;
-  for (const auto& f : funcs) {
-    auto msv = build_msv(f, config);
-    const auto [it, inserted] = classes.emplace(std::move(msv), static_cast<std::uint32_t>(classes.size()));
-    (void)inserted;
-    result.class_of.push_back(it->second);
+  const std::uint64_t lo = hash_u32_span(msv, 0xa0761d6478bd642fULL);
+  if (kind_ == MsvKeyKind::kFull) {
+    return Key{std::move(msv), lo, 0};
   }
-  result.num_classes = classes.size();
-  return result;
+  return Key{{}, lo, hash_u32_span(msv, 0x589965cc75374cc3ULL)};
+}
+
+std::uint32_t MsvGrouper::class_of(Key key)
+{
+  return classes_.emplace(std::move(key), static_cast<std::uint32_t>(classes_.size())).first->second;
 }
 
 namespace {
 
-struct Hash128 {
-  std::uint64_t lo;
-  std::uint64_t hi;
-  friend bool operator==(const Hash128&, const Hash128&) = default;
-};
-
-struct Hash128Hasher {
-  [[nodiscard]] std::size_t operator()(const Hash128& h) const noexcept
-  {
-    return static_cast<std::size_t>(h.lo);
-  }
-};
-
-}  // namespace
-
-ClassificationResult classify_fp_hashed(std::span<const TruthTable> funcs, const SignatureConfig& config)
+ClassificationResult classify_by_msv(std::span<const TruthTable> funcs, const SignatureConfig& config,
+                                     MsvKeyKind kind)
 {
   ClassificationResult result;
   result.class_of.reserve(funcs.size());
-  std::unordered_map<Hash128, std::uint32_t, Hash128Hasher> classes;
-  classes.reserve(funcs.size());
+  MsvGrouper grouper{kind};
   for (const auto& f : funcs) {
-    const auto msv = build_msv(f, config);
-    const Hash128 key{hash_u32_span(msv, 0xa0761d6478bd642fULL), hash_u32_span(msv, 0x589965cc75374cc3ULL)};
-    const auto [it, inserted] = classes.emplace(key, static_cast<std::uint32_t>(classes.size()));
-    (void)inserted;
-    result.class_of.push_back(it->second);
+    result.class_of.push_back(grouper.class_of(grouper.key_of(build_msv(f, config))));
   }
-  result.num_classes = classes.size();
+  result.num_classes = grouper.num_classes();
   return result;
+}
+
+}  // namespace
+
+ClassificationResult classify_fp(std::span<const TruthTable> funcs, const SignatureConfig& config)
+{
+  return classify_by_msv(funcs, config, MsvKeyKind::kFull);
+}
+
+ClassificationResult classify_fp_hashed(std::span<const TruthTable> funcs, const SignatureConfig& config)
+{
+  return classify_by_msv(funcs, config, MsvKeyKind::kHash128);
 }
 
 }  // namespace facet

@@ -64,10 +64,13 @@ TruthTable cofactor(const TruthTable& tt, int var, bool value)
   return result;
 }
 
-std::vector<std::uint32_t> cofactor_counts(const TruthTable& tt, std::span<const int> vars)
+namespace {
+
+/// Adds the 2^ell cofactor satisfy counts of `vars` into counts[0..2^ell),
+/// which the caller zeroes; entry a is |f_{vars = a}| as in cofactor_counts.
+void cofactor_counts_into(const TruthTable& tt, std::span<const int> vars, std::uint32_t* counts)
 {
   const int ell = static_cast<int>(vars.size());
-  std::vector<std::uint32_t> counts(std::size_t{1} << ell, 0);
   const auto words = tt.words();
   const std::uint64_t low = low_bits_mask(tt.num_vars());
 
@@ -116,6 +119,14 @@ std::vector<std::uint32_t> cofactor_counts(const TruthTable& tt, std::span<const
       counts[fixed_bits | in_bits[a]] += static_cast<std::uint32_t>(popcount64(words[w] & in_mask[a]));
     }
   }
+}
+
+}  // namespace
+
+std::vector<std::uint32_t> cofactor_counts(const TruthTable& tt, std::span<const int> vars)
+{
+  std::vector<std::uint32_t> counts(std::size_t{1} << vars.size(), 0);
+  cofactor_counts_into(tt, vars, counts.data());
   return counts;
 }
 
@@ -137,12 +148,12 @@ namespace {
 template <typename Fn>
 void for_each_subset(int n, int ell, Fn&& fn)
 {
-  std::vector<int> subset(ell);
+  std::array<int, kMaxVars> subset{};
   for (int i = 0; i < ell; ++i) {
     subset[i] = i;
   }
   while (true) {
-    fn(std::span<const int>{subset});
+    fn(std::span<const int>{subset.data(), static_cast<std::size_t>(ell)});
     int k = ell - 1;
     while (k >= 0 && subset[k] == n - ell + k) {
       --k;
@@ -168,16 +179,17 @@ std::vector<std::uint32_t> ocv(const TruthTable& tt, int ell)
   if (ell == 0) {
     return {static_cast<std::uint32_t>(satisfy_count(tt))};
   }
-  std::vector<std::uint32_t> v;
-  // C(n, ell) * 2^ell entries.
+  // C(n, ell) * 2^ell entries, written in place subset by subset and
+  // sorted once: the result vector is the only allocation.
   std::size_t entries = std::size_t{1} << ell;
   for (int i = 0; i < ell; ++i) {
     entries = entries * static_cast<std::size_t>(n - i) / static_cast<std::size_t>(i + 1);
   }
-  v.reserve(entries);
+  std::vector<std::uint32_t> v(entries, 0);
+  std::uint32_t* next = v.data();
   for_each_subset(n, ell, [&](std::span<const int> subset) {
-    const auto counts = cofactor_counts(tt, subset);
-    v.insert(v.end(), counts.begin(), counts.end());
+    cofactor_counts_into(tt, subset, next);
+    next += std::size_t{1} << ell;
   });
   std::sort(v.begin(), v.end());
   return v;

@@ -10,10 +10,15 @@
 /// Theorem 4: PN-equivalent functions share all three (with the balanced
 /// 0/1 pairing caveat handled by the MSV builder).
 ///
-/// The fast path walks, per sensitivity level set S_s, all 2^n - 1 variable
-/// subsets T in Gray-code order, maintaining flip_T(S_s) incrementally:
-/// popcount(S_s AND flip_T(S_s)) counts each unordered pair at distance |T|
-/// twice. A quadratic all-pairs routine is the test reference.
+/// The fast path counts each level set's pairs spectrally. For a point set
+/// S with 0/1 Walsh transform S^(w) = sum_{X in S} (-1)^{popcount(w & X)},
+/// the number of unordered pairs at Hamming distance j is
+///   (sum_w S^(w)^2 * K_j(|w|)) / 2^(n+1),
+/// where K_j is the Krawtchouk polynomial of width n. One in-place integer
+/// butterfly pass (indicator_spectrum_into in walsh.hpp, O(n 2^n)) plus a
+/// weight-bucketed sum of squares and an O(n^2) Krawtchouk fold give the
+/// whole spectrum exactly, with no allocation per set. A quadratic
+/// all-pairs routine (osdv_naive) is the test reference.
 
 #pragma once
 

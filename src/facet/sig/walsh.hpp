@@ -18,14 +18,23 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "facet/tt/truth_table.hpp"
 
 namespace facet {
 
+/// Walsh transform of the 0/1 indicator of a point set: out[S] is
+/// sum_{X in points} (-1)^{popcount(S & X)}. `out` must hold
+/// points.num_bits() entries. The three in-byte butterfly levels come from
+/// a 256-row table, the rest from in-place integer butterflies: O(n 2^n),
+/// no allocation. |out[S]| <= |points|, so int32 is exact for every width.
+void indicator_spectrum_into(const TruthTable& points, std::span<std::int32_t> out) noexcept;
+
 /// Full Walsh-Hadamard spectrum in the +/-1 encoding; entry S is W(S).
-/// Computed with the in-place fast transform, O(2^n * n).
+/// Since F = 1 - 2 f, W(S) = 2^n [S = 0] - 2 * (the indicator spectrum of
+/// f), computed with the fast transform, O(2^n * n).
 [[nodiscard]] std::vector<std::int32_t> walsh_spectrum(const TruthTable& tt);
 
 /// Single coefficient (reference implementation, O(2^n)).

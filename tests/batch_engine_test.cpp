@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <stdexcept>
+#include <unordered_set>
 #include <vector>
 
 #include "facet/data/dataset.hpp"
@@ -205,6 +206,48 @@ TEST(BatchEngine, MemoizationOffStillMatchesSequential)
   (void)engine.classify(funcs, &stats);
   EXPECT_EQ(stats.cache_hits + stats.cache_misses, funcs.size());
   EXPECT_GT(stats.cache_misses, 0u);
+}
+
+TEST(BatchEngine, FpKindsBuildEachMsvOnceAndMatchSequential)
+{
+  // An n = 8 circuit-derived subset (the benchmark width) plus repeats of
+  // some members and the complements of the balanced ones: a complement is
+  // a distinct input in its original's class, reached through the balanced
+  // polarity choice of build_msv.
+  CircuitDatasetOptions dataset_options;
+  dataset_options.max_functions = 300;
+  std::vector<TruthTable> funcs = make_circuit_dataset(8, dataset_options);
+  ASSERT_FALSE(funcs.empty());
+  const std::size_t base = funcs.size();
+  std::size_t complements = 0;
+  for (std::size_t i = 0; i < base; ++i) {
+    if (i % 3 == 0) {
+      funcs.push_back(funcs[i]);
+    }
+    if (2 * funcs[i].count_ones() == funcs[i].num_bits()) {
+      funcs.push_back(~funcs[i]);
+      ++complements;
+    }
+  }
+  ASSERT_GT(complements, 0U);
+  for (std::size_t i = 0; i < base; i += 7) {
+    funcs.push_back(funcs[i]);
+  }
+  const std::unordered_set<TruthTable, TruthTableHash> distinct(funcs.begin(), funcs.end());
+  ASSERT_GT(funcs.size(), distinct.size());
+
+  for (const auto kind : {ClassifierKind::kFp, ClassifierKind::kFpHashed}) {
+    const auto sequential = sequential_reference(kind, funcs);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+      SCOPED_TRACE(classifier_kind_name(kind) + " threads=" + std::to_string(threads));
+      BatchEngine engine{kind, {.num_threads = threads}};
+      BatchEngineStats stats;
+      expect_identical(engine.classify(funcs, &stats), sequential);
+      // The counters count MSVs built: exactly one per distinct input.
+      EXPECT_EQ(stats.cache_misses, distinct.size());
+      EXPECT_EQ(stats.cache_hits + stats.cache_misses, funcs.size());
+    }
+  }
 }
 
 TEST(BatchEngine, KindNamesRoundTrip)

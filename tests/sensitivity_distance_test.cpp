@@ -70,19 +70,24 @@ TEST_P(OsdvSweep, PairCountsAreConsistentWithLevelSizes)
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(SmallWidths, OsdvSweep, ::testing::Range(1, 8));
+// n = 0 is the degenerate table; n = 8 is the benchmark width.
+INSTANTIATE_TEST_SUITE_P(SmallWidths, OsdvSweep, ::testing::Range(0, 11));
 
 TEST(Osdv, FullCubeSpectrum)
 {
-  // All 2^n points: pairs at distance j are C(n,j) * 2^n / 2.
-  const int n = 4;
-  const TruthTable all = tt_constant(n, true);
-  const auto spectrum = pair_distance_spectrum(all);
-  const std::uint64_t scale = (1ULL << n) / 2;
-  EXPECT_EQ(spectrum[0], 4 * scale);   // C(4,1)
-  EXPECT_EQ(spectrum[1], 6 * scale);   // C(4,2)
-  EXPECT_EQ(spectrum[2], 4 * scale);   // C(4,3)
-  EXPECT_EQ(spectrum[3], 1 * scale);   // C(4,4)
+  // All 2^n points: pairs at distance j are C(n,j) * 2^(n-1). At n = 16,
+  // the widest table, there are 2^32 ordered pairs in all, so the spectral
+  // sums exercise the int64 accumulation.
+  for (const int n : {4, kMaxVars}) {
+    const auto spectrum = pair_distance_spectrum(tt_constant(n, true));
+    ASSERT_EQ(spectrum.size(), static_cast<std::size_t>(n));
+    std::uint64_t binomial = 1;
+    for (int j = 1; j <= n; ++j) {
+      binomial = binomial * static_cast<std::uint64_t>(n - j + 1) / static_cast<std::uint64_t>(j);
+      EXPECT_EQ(spectrum[static_cast<std::size_t>(j - 1)], binomial << (n - 1))
+          << "n " << n << " distance " << j;
+    }
+  }
 }
 
 TEST(Osdv, EmptyAndSingletonSetsHaveNoPairs)
