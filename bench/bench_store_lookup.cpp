@@ -34,13 +34,13 @@
 /// whose speedup the table PR targets at >= 10x. Sub-widths 0..3 are swept
 /// exhaustively for id identity. Report: BENCH_npn4.json (--npn4-out).
 ///
-/// A fifth phase benchmarks the block-packed v3 base-segment layout against
-/// the dense v2 layout: --cold-records synthetic classes (default 1M at
-/// --cold-n 7) written in BOTH formats, probed cold through fresh mmaps
-/// with a present/absent key mix. Reports pages touched per probe (the
-/// segment's deterministic accounting plus the OS minor-fault counter as a
-/// cross-check) and lookups/s per version, asserts v3 <= 2 pages/probe and
-/// v2/v3 id bit-identity. Fields land in BENCH_store_lookup.json.
+/// A fifth phase benchmarks cold probes of the block-packed v3 base
+/// segment: --cold-records synthetic classes (default 1M at --cold-n 7),
+/// probed through a fresh mmap with a present/absent key mix. Reports pages
+/// touched per probe (the segment's deterministic accounting plus the OS
+/// minor-fault counter as a cross-check) and lookups/s, asserts <= 2
+/// pages/probe and id bit-identity with a materialized load of the same
+/// file. Fields land in BENCH_store_lookup.json.
 ///
 /// Defaults are laptop-scale; the acceptance-scale run of the store PR is
 ///   bench_store_lookup --n 6 --funcs 120000
@@ -214,34 +214,35 @@ int main(int argc, char** argv)
             << "warm vs live speedup: " << speedup << "x\n"
             << "bit-identical to BatchEngine: " << (identical ? "yes" : "NO") << "\n";
 
-  // --- cold probes: block-packed v3 vs dense v2 page touches ---------------
-  // The same sorted synthetic record set written in both base-segment
-  // layouts, probed through fresh mmaps. The headline is pages touched per
-  // probe: a dense v2 binary search faults O(log N) cold data pages, the v3
-  // block-key search faults ~1 (plus zero for provably-absent keys). Pages
-  // are counted two ways — MmapSegment's deterministic probe accounting,
-  // and the OS's minor-fault counter as a cross-check.
+  // --- cold probes: pages touched by a block-packed v3 probe ---------------
+  // A sorted synthetic record set written as one v3 base segment and probed
+  // through a fresh mmap. The headline is pages touched per probe: the
+  // block-key search faults ~1 data page (zero for provably-absent keys).
+  // Pages are counted two ways — MmapSegment's deterministic probe
+  // accounting, and the OS's minor-fault counter as a cross-check. The ids
+  // must match a materialized load of the same file.
   const int cold_n = static_cast<int>(args.get_int("cold-n", 7));
   const std::size_t cold_count = static_cast<std::size_t>(args.get_int("cold-records", 1000000));
   const std::size_t cold_probe_count =
       static_cast<std::size_t>(args.get_int("cold-probes", 20000));
-  const std::string cold_v2_path = args.get_string("cold-v2-index", "bench_cold_v2.fcs");
   const std::string cold_v3_path = args.get_string("cold-v3-index", "bench_cold_v3.fcs");
 
   std::cout << "\ncold probes: n = " << cold_n << ", " << cold_count
-            << " synthetic classes, v2 vs v3 segment layout\n";
+            << " synthetic classes, v3 segment layout\n";
 
-  double cold_pages_v2 = 0.0;
   double cold_pages_v3 = 0.0;
-  double cold_faults_v2 = 0.0;
   double cold_faults_v3 = 0.0;
-  double cold_rate_v2 = 0.0;
   double cold_rate_v3 = 0.0;
   bool cold_identical = true;
   bool cold_target_met = true;
   if (mmap_supported()) {
-    std::vector<StoreRecord> cold_set;
+    // Probe keys: alternate present records (strided across the index) and
+    // random keys that are overwhelmingly absent — both probe shapes matter
+    // (v3 answers many misses from the in-RAM block keys alone).
+    std::vector<TruthTable> probe_keys;
+    probe_keys.reserve(cold_probe_count);
     {
+      std::vector<StoreRecord> cold_set;
       std::mt19937_64 rng{0xc01dULL};
       std::unordered_set<TruthTable, TruthTableHash> keys;
       keys.reserve(cold_count);
@@ -255,30 +256,16 @@ int main(int argc, char** argv)
       std::sort(cold_set.begin(), cold_set.end(), [](const StoreRecord& a, const StoreRecord& b) {
         return a.canonical < b.canonical;
       });
-      for (std::size_t i = 0; i < cold_set.size(); ++i) {
-        cold_set[i].class_id = static_cast<std::uint32_t>(i);
-      }
-    }
-    {
       std::vector<const StoreRecord*> pointers;
       pointers.reserve(cold_set.size());
-      for (const auto& record : cold_set) {
-        pointers.push_back(&record);
+      for (std::size_t i = 0; i < cold_set.size(); ++i) {
+        cold_set[i].class_id = static_cast<std::uint32_t>(i);
+        pointers.push_back(&cold_set[i]);
       }
-      std::ofstream v2{cold_v2_path, std::ios::binary | std::ios::trunc};
-      write_base_segment_v2(v2, cold_n, cold_set.size(), pointers);
       std::ofstream v3{cold_v3_path, std::ios::binary | std::ios::trunc};
       write_base_segment(v3, cold_n, cold_set.size(), pointers);
-    }
 
-    // Probe keys: alternate present records (strided across the index) and
-    // random keys that are overwhelmingly absent — both probe shapes matter
-    // (a miss still walks the full v2 search; v3 answers many misses from
-    // the in-RAM block keys alone).
-    std::vector<TruthTable> probe_keys;
-    probe_keys.reserve(cold_probe_count);
-    {
-      std::mt19937_64 rng{0xabc01dULL};
+      std::mt19937_64 probe_rng{0xabc01dULL};
       const std::size_t stride = std::max<std::size_t>(1, 2 * cold_set.size() / cold_probe_count);
       std::size_t next = 0;
       for (std::size_t i = 0; i < cold_probe_count; ++i) {
@@ -286,67 +273,54 @@ int main(int argc, char** argv)
           probe_keys.push_back(cold_set[next % cold_set.size()].canonical);
           next += stride;
         } else {
-          probe_keys.push_back(tt_random(cold_n, rng));
+          probe_keys.push_back(tt_random(cold_n, probe_rng));
         }
       }
     }
 
-    struct ColdRun {
-      double pages_per_probe = 0.0;
-      double faults_per_probe = 0.0;
-      double lookups_per_sec = 0.0;
-      std::vector<std::optional<std::uint32_t>> ids;
-    };
-    const auto run_cold_probes = [&](const std::string& path) {
-      ColdRun run;
-      run.ids.reserve(probe_keys.size());
-      const std::shared_ptr<MmapSegment> segment = MmapSegment::open(path);
+    std::vector<std::optional<std::uint32_t>> mapped_ids;
+    mapped_ids.reserve(probe_keys.size());
+    {
+      const std::shared_ptr<MmapSegment> segment = MmapSegment::open(cold_v3_path);
       const auto stats_before = segment->probe_stats();
       const long long faults_before = minor_faults();
       Stopwatch probe_watch;
       for (const auto& key : probe_keys) {
-        run.ids.push_back(segment->find_class_id(key));
+        mapped_ids.push_back(segment->find_class_id(key));
       }
       const double seconds = probe_watch.seconds();
       const long long faults_after = minor_faults();
       const auto stats_after = segment->probe_stats();
-      const double probes =
-          static_cast<double>(stats_after.probes - stats_before.probes);
-      run.pages_per_probe =
+      const double probes = static_cast<double>(stats_after.probes - stats_before.probes);
+      cold_pages_v3 =
           probes > 0 ? static_cast<double>(stats_after.pages - stats_before.pages) / probes : 0.0;
-      run.faults_per_probe =
-          probe_keys.empty() ? 0.0
-                             : static_cast<double>(faults_after - faults_before) /
-                                   static_cast<double>(probe_keys.size());
-      run.lookups_per_sec = seconds > 0 ? static_cast<double>(probe_keys.size()) / seconds : 0.0;
-      return run;
-    };
-    const ColdRun v2_run = run_cold_probes(cold_v2_path);
-    const ColdRun v3_run = run_cold_probes(cold_v3_path);
-    cold_pages_v2 = v2_run.pages_per_probe;
-    cold_pages_v3 = v3_run.pages_per_probe;
-    cold_faults_v2 = v2_run.faults_per_probe;
-    cold_faults_v3 = v3_run.faults_per_probe;
-    cold_rate_v2 = v2_run.lookups_per_sec;
-    cold_rate_v3 = v3_run.lookups_per_sec;
-    cold_identical = v2_run.ids == v3_run.ids;
-    for (std::size_t i = 0; i < probe_keys.size(); i += 2) {
-      // Even slots are known-present keys: both layouts must resolve them.
-      cold_identical = cold_identical && v2_run.ids[i].has_value();
+      cold_faults_v3 = probe_keys.empty() ? 0.0
+                                          : static_cast<double>(faults_after - faults_before) /
+                                                static_cast<double>(probe_keys.size());
+      cold_rate_v3 = per_sec(probe_keys.size(), seconds);
     }
-    // The tentpole target: a v3 cold probe touches at most ~1 data page
+    {
+      const ClassStore materialized = ClassStore::load(cold_v3_path);
+      for (std::size_t i = 0; i < probe_keys.size(); ++i) {
+        cold_identical = cold_identical &&
+                         mapped_ids[i] == materialized.base_segment().find_class_id(probe_keys[i]);
+      }
+    }
+    for (std::size_t i = 0; i < probe_keys.size(); i += 2) {
+      // Even slots are known-present keys: the probe must resolve them.
+      cold_identical = cold_identical && mapped_ids[i].has_value();
+    }
+    // The layout's target: a cold probe touches at most ~1 data page
     // (misses resolved off the in-RAM block keys touch zero); 2 leaves
     // headroom without ever passing an O(log N) regression.
     cold_target_met = cold_pages_v3 <= 2.0;
-    std::remove(cold_v2_path.c_str());
     std::remove(cold_v3_path.c_str());
 
-    std::cout << "v2 dense:   " << cold_pages_v2 << " pages/probe (" << cold_faults_v2
-              << " minor faults/probe), " << cold_rate_v2 << " lookups/s\n"
-              << "v3 blocked: " << cold_pages_v3 << " pages/probe (" << cold_faults_v3
+    std::cout << "v3 blocked: " << cold_pages_v3 << " pages/probe (" << cold_faults_v3
               << " minor faults/probe), " << cold_rate_v3 << " lookups/s\n"
               << "v3 page target (<= 2): " << (cold_target_met ? "met" : "MISSED") << "\n"
-              << "v3 ids bit-identical to v2: " << (cold_identical ? "yes" : "NO") << "\n";
+              << "mmap ids bit-identical to materialized: " << (cold_identical ? "yes" : "NO")
+              << "\n";
   } else {
     std::cout << "mmap unsupported on this platform; cold-probe phase skipped\n";
   }
@@ -367,11 +341,8 @@ int main(int argc, char** argv)
        << "  \"cold_probe_n\": " << cold_n << ",\n"
        << "  \"cold_probe_records\": " << cold_count << ",\n"
        << "  \"cold_probe_count\": " << cold_probe_count << ",\n"
-       << "  \"cold_probe_pages_v2\": " << cold_pages_v2 << ",\n"
        << "  \"cold_probe_pages_v3\": " << cold_pages_v3 << ",\n"
-       << "  \"cold_probe_minflt_v2\": " << cold_faults_v2 << ",\n"
        << "  \"cold_probe_minflt_v3\": " << cold_faults_v3 << ",\n"
-       << "  \"cold_probe_lookups_per_sec_v2\": " << cold_rate_v2 << ",\n"
        << "  \"cold_probe_lookups_per_sec_v3\": " << cold_rate_v3 << ",\n"
        << "  \"cold_probe_v3_page_target_met\": " << (cold_target_met ? "true" : "false") << ",\n"
        << "  \"cold_probe_identical\": " << (cold_identical ? "true" : "false") << "\n"

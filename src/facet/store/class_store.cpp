@@ -296,36 +296,75 @@ void ClassStore::save(const std::string& path) const
   write_file_atomically(path, "store file", [&](std::ostream& os) { save(os); });
 }
 
-ClassStore ClassStore::load(std::istream& is, ClassStoreOptions options)
+namespace {
+
+/// A base segment and the next fresh class id its header records.
+struct OpenedBase {
+  std::shared_ptr<const Segment> segment;
+  std::uint64_t num_classes = 0;
+};
+
+/// A decoded base as a segment, every record id checked against the
+/// header's class count.
+OpenedBase materialize_base(LoadedBase base)
 {
-  LoadedBase base = read_base_segment(is);
-  try {
-    return ClassStore{static_cast<int>(base.header.num_vars), std::move(base.records),
-                      base.header.num_classes, options};
-  } catch (const std::invalid_argument& e) {
-    throw StoreFormatError{std::string{"corrupt store records: "} + e.what()};
+  for (const auto& record : base.records) {
+    if (record.class_id >= base.header.num_classes) {
+      throw StoreFormatError{"corrupt store records: record class id exceeds num_classes"};
+    }
   }
+  return {std::make_shared<MaterializedSegment>(static_cast<int>(base.header.num_vars),
+                                                std::move(base.records)),
+          base.header.num_classes};
 }
 
-ClassStore ClassStore::load(const std::string& path, ClassStoreOptions options)
+/// The base segment at `path`, mapped read-only or decoded into RAM — the
+/// one way load(), open() and reload() get a base.
+OpenedBase open_base(const std::string& path, bool use_mmap)
 {
+  if (use_mmap) {
+    std::shared_ptr<MmapSegment> segment = MmapSegment::open(path);
+    const std::uint64_t num_classes = segment->num_classes();
+    return {std::move(segment), num_classes};
+  }
   std::ifstream is{path, std::ios::binary};
   if (!is) {
     throw StoreFormatError{"cannot open store file: " + path};
   }
-  return load(is, options);
+  return materialize_base(read_base_segment(is));
+}
+
+/// The runs of a replayed delta log as delta segments; raises
+/// `next_class_id` to the largest class count a run records.
+std::vector<std::shared_ptr<const MaterializedSegment>> delta_segments(
+    int num_vars, DeltaLogReplay& replay, std::uint64_t& next_class_id)
+{
+  std::vector<std::shared_ptr<const MaterializedSegment>> deltas;
+  for (auto& run : replay.runs) {
+    next_class_id = std::max(next_class_id, run.num_classes_after);
+    deltas.push_back(std::make_shared<MaterializedSegment>(num_vars, std::move(run.records)));
+  }
+  return deltas;
+}
+
+}  // namespace
+
+ClassStore ClassStore::load(std::istream& is, ClassStoreOptions options)
+{
+  OpenedBase base = materialize_base(read_base_segment(is));
+  return ClassStore{std::move(base.segment), base.num_classes, /*mmap_backed=*/false, options};
+}
+
+ClassStore ClassStore::load(const std::string& path, ClassStoreOptions options)
+{
+  OpenedBase base = open_base(path, /*use_mmap=*/false);
+  return ClassStore{std::move(base.segment), base.num_classes, /*mmap_backed=*/false, options};
 }
 
 ClassStore ClassStore::open(const std::string& path, const StoreOpenOptions& options)
 {
-  ClassStore store = [&] {
-    if (options.use_mmap) {
-      std::shared_ptr<MmapSegment> segment = MmapSegment::open(path);
-      const std::uint64_t num_classes = segment->num_classes();
-      return ClassStore{std::move(segment), num_classes, /*mmap_backed=*/true, options.store};
-    }
-    return load(path, options.store);
-  }();
+  OpenedBase base = open_base(path, options.use_mmap);
+  ClassStore store{std::move(base.segment), base.num_classes, options.use_mmap, options.store};
 
   const std::string dlog_path = delta_log_path(path);
   std::ifstream dlog{dlog_path, std::ios::binary};
@@ -353,53 +392,30 @@ std::size_t ClassStore::reload(const std::string& path)
   // Build the replacement tiers fully before taking the gate — the re-open
   // and replay are the slow part, and readers keep serving the old epoch
   // until the single publish below.
-  std::shared_ptr<const Segment> base;
-  std::uint64_t next_class_id = 0;
-  if (mmap_backed_) {
-    std::shared_ptr<MmapSegment> segment = MmapSegment::open(path);
-    next_class_id = segment->num_classes();
-    base = std::move(segment);
-  } else {
-    std::ifstream is{path, std::ios::binary};
-    if (!is) {
-      throw StoreFormatError{"cannot open store file: " + path};
-    }
-    LoadedBase loaded = read_base_segment(is);
-    next_class_id = loaded.header.num_classes;
-    base = std::make_shared<MaterializedSegment>(static_cast<int>(loaded.header.num_vars),
-                                                 std::move(loaded.records));
-  }
-  if (base->num_vars() != num_vars_) {
+  OpenedBase base = open_base(path, mmap_backed_);
+  if (base.segment->num_vars() != num_vars_) {
     throw StoreFormatError{"reloaded store file has a different width: " + path};
   }
+  std::uint64_t next_class_id = base.num_classes;
 
   std::vector<std::shared_ptr<const MaterializedSegment>> deltas;
-  const std::string dlog_path = delta_log_path(path);
-  std::ifstream dlog{dlog_path, std::ios::binary};
+  std::ifstream dlog{delta_log_path(path), std::ios::binary};
   if (dlog) {
     // A torn tail is dropped from the replay but deliberately NOT truncated
     // on disk: the log belongs to the primary, and a replica observing the
     // primary mid-append must not repair (or race) the primary's file.
     DeltaLogReplay replay = read_delta_log(dlog, num_vars_);
-    for (auto& run : replay.runs) {
-      for (const auto& record : run.records) {
-        if (record.class_id >= run.num_classes_after) {
-          throw StoreFormatError{"corrupt delta frame: record class id exceeds its class count"};
-        }
-      }
-      next_class_id = std::max(next_class_id, run.num_classes_after);
-      deltas.push_back(std::make_shared<MaterializedSegment>(num_vars_, std::move(run.records)));
-    }
+    deltas = delta_segments(num_vars_, replay, next_class_id);
   }
 
-  std::size_t served = base->size();
+  std::size_t served = base.segment->size();
   for (const auto& delta : deltas) {
     served += delta->size();
   }
 
   const auto gate = gate_->acquire();
   auto next = std::make_shared<TierSnapshot>();
-  next->base = std::move(base);
+  next->base = std::move(base.segment);
   next->deltas = std::move(deltas);
   // Monotone: ids handed out by this process never regress even if the
   // on-disk state observed here is older than what we already served.
@@ -421,15 +437,8 @@ DeltaLogReplay ClassStore::load_deltas(std::istream& is)
   const auto gate = gate_->acquire();
   auto next = std::make_shared<TierSnapshot>(*gate_->pin());
   std::uint64_t next_class_id = next_class_id_.load(std::memory_order_relaxed);
-  for (auto& run : replay.runs) {
-    for (const auto& record : run.records) {
-      if (record.class_id >= run.num_classes_after) {
-        throw StoreFormatError{"corrupt delta frame: record class id exceeds its class count"};
-      }
-    }
-    next_class_id = std::max(next_class_id, run.num_classes_after);
-    next->deltas.push_back(
-        std::make_shared<MaterializedSegment>(num_vars_, std::move(run.records)));
+  for (auto& delta : delta_segments(num_vars_, replay, next_class_id)) {
+    next->deltas.push_back(std::move(delta));
   }
   next_class_id_.store(next_class_id, std::memory_order_relaxed);
   gate_->publish(gate, std::move(next));

@@ -24,9 +24,10 @@
 ///   4. delta runs  — flushed-but-uncompacted append runs, consulted
 ///                    newest-first (each a small sorted MaterializedSegment);
 ///   5. base        — the compacted index: a binary search over the sorted
-///                    records, either materialized in RAM (load) or executed
-///                    in place over a read-only mmap of the `.fcs` file
-///                    (open with use_mmap; lazily page-validated);
+///                    records, either materialized in RAM (load; any format
+///                    version) or executed in place over a read-only mmap
+///                    of a version-3 `.fcs` file (open with use_mmap; one
+///                    block per probe, lazily validated);
 ///   6. live        — unknown canonical form: fall back to live
 ///                    classification, allocating the next dense class id,
 ///                    and optionally appending the new class to the store.
@@ -210,8 +211,9 @@ struct CompactionSnapshot {
 
 /// How ClassStore::open materializes the base segment.
 struct StoreOpenOptions {
-  /// Map the `.fcs` record region read-only and search it in place instead
-  /// of decoding every record into RAM. Requires mmap_supported().
+  /// Map the `.fcs` file read-only and search it in place instead of
+  /// decoding every record into RAM. Requires mmap_supported() and a
+  /// version-3 file (compact a legacy file first).
   bool use_mmap = false;
   ClassStoreOptions store{};
 };
@@ -283,24 +285,26 @@ class ClassStore {
   // -- persistence ---------------------------------------------------------
 
   /// Serializes base + deltas + memtable, re-sorted by canonical form, as
-  /// one fresh v2 base segment. Live-transient class ids (non-appending
+  /// one fresh v3 base segment. Live-transient class ids (non-appending
   /// misses) are not persisted.
   void save(std::ostream& os) const;
   void save(const std::string& path) const;
 
   /// Loads a store with a fully-materialized, eagerly-validated base:
-  /// header magic/version/width, record/page checksums, canonical
-  /// sortedness/uniqueness, transform sanity. Reads v1 and v2 files.
-  /// Throws StoreFormatError on any violation.
+  /// header magic/version/width, block checksums, canonical
+  /// sortedness/uniqueness, transform sanity, record ids below the header's
+  /// class count. Reads versions 1 through 3. Throws StoreFormatError on
+  /// any violation.
   [[nodiscard]] static ClassStore load(std::istream& is, ClassStoreOptions options = {});
   [[nodiscard]] static ClassStore load(const std::string& path, ClassStoreOptions options = {});
 
-  /// Opens `path` (materialized, or zero-copy via mmap with use_mmap) and
-  /// replays its delta log (delta_log_path(path)) if present, restoring
-  /// every flushed run as an immutable delta segment. A torn trailing
-  /// frame — a crash or full disk mid-flush — is dropped and the log is
-  /// truncated back to its intact prefix, so a crashed append never bricks
-  /// the store; corruption before the tail throws StoreFormatError.
+  /// Opens `path` (materialized, or zero-copy via mmap with use_mmap, which
+  /// needs a version-3 file) and replays its delta log (delta_log_path(path))
+  /// if present, restoring every flushed run as an immutable delta segment.
+  /// A torn trailing frame — a crash or full disk mid-flush — is dropped
+  /// and the log is truncated back to its intact prefix, so a crashed
+  /// append never bricks the store; corruption before the tail throws
+  /// StoreFormatError.
   [[nodiscard]] static ClassStore open(const std::string& path,
                                        const StoreOpenOptions& options = {});
 
@@ -352,7 +356,7 @@ class ClassStore {
       const CompactionSnapshot& snapshot);
 
   /// Phase 2b (heavy; runs with no gate held): writes `merged` as a fresh
-  /// v2 base segment at `tmp_path` (not yet visible at the store's real
+  /// v3 base segment at `tmp_path` (not yet visible at the store's real
   /// path).
   static void write_compacted(const std::string& tmp_path, const CompactionSnapshot& snapshot,
                               const std::vector<StoreRecord>& merged);
@@ -529,7 +533,7 @@ class ClassStore {
     explicit Npn4Slots(std::size_t count) : slots(count) {}
   };
 
-  /// A store over an already-opened base segment (the mmap open path).
+  /// A store over an already-opened base segment (load, open, reload).
   ClassStore(std::shared_ptr<const Segment> base, std::uint64_t num_classes, bool mmap_backed,
              ClassStoreOptions options);
 

@@ -1,9 +1,9 @@
 /// Tests of the block-packed v3 base-segment format: geometry and probe
 /// accounting of the sparse block-key index, edge cases at block
 /// boundaries, per-block corruption rejection, mixed-version stores (dense
-/// v2 bases under v3 delta logs, compaction and fcs-merge emitting v3),
-/// router dispatch over mixed versions, and ClassStore::reload — the
-/// replica half of the compaction handshake.
+/// v2 bases loading materialized under v3 delta logs, refused by mmap until
+/// compaction and fcs-merge emit v3), router dispatch over mixed versions,
+/// and ClassStore::reload — the replica half of the compaction handshake.
 
 #include <gtest/gtest.h>
 
@@ -88,15 +88,45 @@ void write_v3_file(const std::string& path, int n, const std::vector<StoreRecord
   write_base_segment(os, n, records.size(), pointers);
 }
 
+/// Serializes the legacy dense v2 layout by hand — header, records packed
+/// back to back, one checksum per page-sized slice of them (the last slice
+/// possibly partial), footer — as builds before the block-packed format
+/// wrote it.
 void write_v2_file(const std::string& path, int n, const std::vector<StoreRecord>& records)
 {
-  std::vector<const StoreRecord*> pointers;
-  pointers.reserve(records.size());
+  std::vector<std::uint64_t> words;
   for (const auto& record : records) {
-    pointers.push_back(&record);
+    for_each_record_word(record, [&](std::uint64_t word) { words.push_back(word); });
   }
+  std::vector<std::uint64_t> page_hashes;
+  for (std::size_t first = 0; first < words.size(); first += kStorePageWords) {
+    const std::size_t count = std::min(kStorePageWords, words.size() - first);
+    PayloadHasher page{count};
+    for (std::size_t w = first; w < first + count; ++w) {
+      page.mix(words[w]);
+    }
+    page_hashes.push_back(page.value());
+  }
+  PayloadHasher table{page_hashes.size()};
+  for (const auto h : page_hashes) {
+    table.mix(h);
+  }
+
   std::ofstream os{path, std::ios::binary | std::ios::trunc};
-  write_base_segment_v2(os, n, records.size(), pointers);
+  StoreHeader header;
+  header.version = kStoreVersionV2;
+  header.num_vars = static_cast<std::uint32_t>(n);
+  header.num_records = records.size();
+  header.num_classes = records.size();
+  header.payload_hash = table.value();
+  write_store_header(os, header);
+  for (const auto w : words) {
+    write_u64_le(os, w);
+  }
+  for (const auto h : page_hashes) {
+    write_u64_le(os, h);
+  }
+  write_segment_footer(os, SegmentFooter{kStorePageBytes, page_hashes.size(), words.size()});
 }
 
 std::vector<TruthTable> make_npn_workload(int n, std::size_t bases, std::size_t images_per_base,
@@ -143,8 +173,6 @@ TEST(StoreBlockPack, V3ProbesTouchOneBlock)
   write_v3_file(path, n, records);
 
   const auto segment = MmapSegment::open(path);
-  EXPECT_TRUE(segment->block_packed());
-  EXPECT_EQ(segment->format_version(), kStoreVersion);
   EXPECT_EQ(segment->num_pages(), store_num_blocks(count, n));
   ASSERT_EQ(segment->size(), count);
 
@@ -257,7 +285,6 @@ TEST(StoreBlockPack, CorruptBlockAndTableAreRejected)
     EXPECT_THROW((void)ClassStore::load(path), StoreFormatError);
     if (mmap_supported()) {
       const auto segment = MmapSegment::open(path);
-      EXPECT_TRUE(segment->lazy_validation());
       EXPECT_TRUE(segment->find_class_id(records.front().canonical).has_value());
       EXPECT_THROW((void)segment->find_class_id(records.back().canonical), StoreFormatError);
       EXPECT_THROW((void)segment->record_at(count - 1), StoreFormatError);
@@ -314,11 +341,25 @@ TEST_P(StoreMixedVersion, V2BaseServesUnderV3DeltasAndCompactsToV3)
   write_v2_file(path, n, built.records());
   ASSERT_EQ(file_version(path), kStoreVersionV2);
 
-  // This build opens it, appends, and flushes v3-stamped frames alongside.
+  // mmap serves version 3 only: the legacy base is refused, and the
+  // message names the upgrade.
+  if (use_mmap) {
+    try {
+      (void)ClassStore::open(path, StoreOpenOptions{.use_mmap = true});
+      ADD_FAILURE() << "mmap must refuse a version-2 base";
+    } catch (const StoreFormatError& e) {
+      EXPECT_NE(std::string{e.what()}.find("version"), std::string::npos) << e.what();
+      EXPECT_NE(std::string{e.what()}.find("facet_cli compact --index"), std::string::npos)
+          << e.what();
+    }
+  }
+
+  // This build opens it materialized, appends, and flushes v3-stamped
+  // frames alongside.
   std::vector<TruthTable> novel;
   std::vector<std::uint32_t> ids;
   {
-    ClassStore store = ClassStore::open(path, StoreOpenOptions{.use_mmap = use_mmap});
+    ClassStore store = ClassStore::open(path);
     ASSERT_EQ(store.num_records(), built.num_records());
     novel = novel_functions(store, 5, 0xa1cULL);
     for (const auto& f : novel) {
@@ -329,7 +370,7 @@ TEST_P(StoreMixedVersion, V2BaseServesUnderV3DeltasAndCompactsToV3)
 
   // Replay: v2 base + v3 delta log serve together.
   {
-    ClassStore store = ClassStore::open(path, StoreOpenOptions{.use_mmap = use_mmap});
+    ClassStore store = ClassStore::open(path);
     EXPECT_EQ(store.num_delta_segments(), 1u);
     store.clear_hot_cache();
     for (std::size_t i = 0; i < novel.size(); ++i) {
@@ -346,13 +387,20 @@ TEST_P(StoreMixedVersion, V2BaseServesUnderV3DeltasAndCompactsToV3)
     EXPECT_FALSE(std::ifstream{dlog}.good());
   }
 
-  // The compacted v3 file serves every class with unchanged ids.
+  // The compacted v3 file serves every class with unchanged ids — through
+  // mmap too.
   ClassStore compacted = ClassStore::open(path, StoreOpenOptions{.use_mmap = use_mmap});
+  EXPECT_EQ(compacted.mmap_backed(), use_mmap);
   EXPECT_EQ(compacted.num_records(), built.num_records() + novel.size());
   for (std::size_t i = 0; i < novel.size(); ++i) {
     const auto hit = compacted.lookup(novel[i]);
     ASSERT_TRUE(hit.has_value());
     EXPECT_EQ(hit->class_id, ids[i]);
+  }
+  for (const auto& f : funcs) {
+    const auto hit = compacted.lookup(f);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->class_id, built.lookup(f)->class_id);
   }
   std::remove(path.c_str());
 }

@@ -1,7 +1,8 @@
 /// Tests of the segmented storage engine: mmap-backed base segments
-/// (bit-identity with materialized loads, lazy per-page corruption
-/// detection, v1 compatibility), log-structured delta segments (flush,
-/// replay, torn-log rejection) and compaction.
+/// (bit-identity with materialized loads, lazy per-block corruption
+/// detection, agreement of both load paths on mutated files, v1 files
+/// loading materialized and upgrading through compaction), log-structured
+/// delta segments (flush, replay, torn-log rejection) and compaction.
 
 #include "facet/store/segment.hpp"
 
@@ -9,6 +10,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
@@ -164,7 +166,6 @@ TEST(StoreSegment, MmapCorruptionIsDetectedOnFirstTouchNotAtOpen)
   const ClassStore mapped = ClassStore::open(path, StoreOpenOptions{.use_mmap = true});
   const auto* segment = dynamic_cast<const MmapSegment*>(&mapped.base_segment());
   ASSERT_NE(segment, nullptr);
-  EXPECT_TRUE(segment->lazy_validation());
   EXPECT_EQ(segment->pages_validated(), 0u);
 
   const auto clean = mapped.find_canonical(built.records().front().canonical);
@@ -185,7 +186,7 @@ TEST(StoreSegment, Version1FilesStillLoadAndMmap)
   const ClassStore built = build_class_store(funcs, {});
 
   // Serialize the v1 layout by hand: header with a whole-payload hash, then
-  // bare records — exactly what PR-2 builds wrote.
+  // bare records — exactly what the first store format wrote.
   std::ostringstream os;
   const std::uint64_t total_words =
       static_cast<std::uint64_t>(store_record_words(n)) * built.records().size();
@@ -223,23 +224,29 @@ TEST(StoreSegment, Version1FilesStillLoadAndMmap)
   std::istringstream corrupt_is{corrupt};
   EXPECT_THROW((void)ClassStore::load(corrupt_is), StoreFormatError);
 
-  // The mmap path reads v1 too — eagerly validated, no page table.
+  // mmap serves version 3 only: the v1 file is refused with the upgrade
+  // hint, and a materialized open plus compact() upgrades it in place.
   if (mmap_supported()) {
     const std::string path = temp_path("segment_v1_compat.fcs");
+    std::remove(ClassStore::delta_log_path(path).c_str());
     write_file(path, v1_bytes);
+    try {
+      (void)ClassStore::open(path, StoreOpenOptions{.use_mmap = true});
+      ADD_FAILURE() << "mmap must refuse a version-1 file";
+    } catch (const StoreFormatError& e) {
+      EXPECT_NE(std::string{e.what()}.find("version"), std::string::npos) << e.what();
+      EXPECT_NE(std::string{e.what()}.find("facet_cli compact --index"), std::string::npos)
+          << e.what();
+    }
+    ClassStore::open(path).compact(path);
     const ClassStore mapped = ClassStore::open(path, StoreOpenOptions{.use_mmap = true});
-    const auto* segment = dynamic_cast<const MmapSegment*>(&mapped.base_segment());
-    ASSERT_NE(segment, nullptr);
-    EXPECT_FALSE(segment->lazy_validation());
+    ASSERT_EQ(mapped.num_records(), built.num_records());
     for (const auto& f : funcs) {
       const auto a = built.lookup(f);
       const auto b = mapped.lookup(f);
       ASSERT_TRUE(b.has_value());
       EXPECT_EQ(a->class_id, b->class_id);
     }
-    write_file(path, corrupt);
-    EXPECT_THROW((void)ClassStore::open(path, StoreOpenOptions{.use_mmap = true}),
-                 StoreFormatError);
     std::remove(path.c_str());
   }
 }
@@ -438,6 +445,161 @@ TEST(StoreSegment, WriteBaseSegmentRejectsNothingButStreamsDoFail)
   std::ostringstream os;
   os.setstate(std::ios::badbit);
   EXPECT_THROW(built.save(os), StoreFormatError);
+}
+
+TEST(StoreSegment, DeltaRecordIdAtOrAboveItsClassCountIsRejected)
+{
+  const int n = 5;
+  const auto funcs = make_npn_workload(n, 20, 2, 0x5e60cULL);
+  for (const bool use_mmap : {false, true}) {
+    if (use_mmap && !mmap_supported()) {
+      continue;
+    }
+    SCOPED_TRACE(use_mmap ? "mmap" : "materialized");
+    const std::string path = temp_path("segment_delta_ids.fcs");
+    const std::string dlog = ClassStore::delta_log_path(path);
+    std::remove(dlog.c_str());
+    const ClassStore built = build_class_store(funcs, {});
+    built.save(path);
+    const StoreOpenOptions options{.use_mmap = use_mmap};
+    ClassStore replica = ClassStore::open(path, options);
+
+    // One appended class whose frame claims `num_classes_after` classes: an
+    // id below that count replays, an id at it is corrupt.
+    const TruthTable f = novel_functions(built, 1, 0x5e60dULL).front();
+    const std::uint64_t num_classes_after = built.num_classes() + 1;
+    const auto write_log = [&](std::uint64_t class_id) {
+      const StoreRecord record{f, f, NpnTransform::identity(n),
+                               static_cast<std::uint32_t>(class_id), 1};
+      std::ofstream os{dlog, std::ios::binary | std::ios::trunc};
+      write_delta_frame(os, n, num_classes_after, {&record});
+    };
+
+    write_log(num_classes_after - 1);
+    EXPECT_EQ(ClassStore::open(path, options).num_delta_records(), 1u);
+    EXPECT_EQ(replica.reload(path), built.num_records() + 1);
+
+    write_log(num_classes_after);
+    EXPECT_THROW((void)ClassStore::open(path, options), StoreFormatError);
+    EXPECT_THROW((void)replica.reload(path), StoreFormatError);
+    std::remove(dlog.c_str());
+    std::remove(path.c_str());
+  }
+}
+
+/// One seeded mutant of a valid segment file: a byte flip (spread over
+/// header, header padding, blocks, and tables plus footer), a truncation,
+/// a cut-and-rejoin splice, or a range copied over from a second valid
+/// file of the same width.
+std::string mutate(const std::string& good, std::size_t blocks_end, const std::string& donor,
+                   std::mt19937_64& rng, std::string& what)
+{
+  const auto pick = [&](std::size_t lo, std::size_t hi) {  // [lo, hi)
+    return lo + static_cast<std::size_t>(rng() % (hi - lo));
+  };
+  std::string bad = good;
+  switch (rng() % 4) {
+    case 0: {
+      const std::size_t regions[] = {0, kStoreHeaderBytes, kStorePageBytes, blocks_end,
+                                     good.size()};
+      const std::size_t r = pick(0, 4);
+      const std::size_t at = pick(regions[r], regions[r + 1]);
+      bad[at] = static_cast<char>(bad[at] ^ static_cast<char>(pick(1, 256)));
+      what = "flip at " + std::to_string(at);
+      break;
+    }
+    case 1: {
+      const std::size_t keep = pick(0, good.size());
+      bad.resize(keep);
+      what = "truncate to " + std::to_string(keep);
+      break;
+    }
+    case 2: {
+      const std::size_t cut = pick(0, good.size());
+      const std::size_t resume = pick(0, good.size());
+      bad = good.substr(0, cut) + good.substr(resume);
+      what = "splice " + std::to_string(cut) + " <- " + std::to_string(resume);
+      break;
+    }
+    default: {
+      const std::size_t at = pick(0, std::min(good.size(), donor.size()));
+      const std::size_t len = std::min(pick(1, 256), donor.size() - at);
+      bad.replace(at, std::min(len, bad.size() - at), donor, at, len);
+      what = "donor range " + std::to_string(at) + "+" + std::to_string(len);
+      break;
+    }
+  }
+  return bad;
+}
+
+TEST(StoreSegment, MutatedFilesGetOneVerdictFromBothLoadPaths)
+{
+  if (!mmap_supported()) {
+    GTEST_SKIP() << "no mmap on this platform";
+  }
+  // Real classes (non-trivial transforms) over several blocks with a ragged
+  // last one, and a same-width donor file for range splices.
+  const int n = 5;
+  const ClassStore built = build_class_store(make_npn_workload(n, 260, 1, 0x5e60eULL), {});
+  const ClassStore other = build_class_store(make_npn_workload(n, 230, 1, 0x5e60fULL), {});
+  const std::size_t num_blocks = store_num_blocks(built.num_records(), n);
+  ASSERT_GT(num_blocks, 2u);
+  const std::size_t blocks_end = kStorePageBytes * (1 + num_blocks);
+  const std::string path = temp_path("segment_mutants.fcs");
+  built.save(path);
+  const std::string good = read_file(path);
+  other.save(path);
+  const std::string donor = read_file(path);
+
+  std::mt19937_64 rng{0x5e610ULL};
+  std::size_t accepted = 0;
+  for (int trial = 0; trial < 1500; ++trial) {
+    std::string what;
+    const std::string bad = mutate(good, blocks_end, donor, rng, what);
+    SCOPED_TRACE(what);
+    write_file(path, bad);
+
+    std::optional<LoadedBase> loaded;
+    try {
+      std::istringstream is{bad};
+      loaded = read_base_segment(is);
+    } catch (const StoreFormatError&) {
+    }
+
+    if (loaded.has_value()) {
+      ++accepted;
+      std::shared_ptr<MmapSegment> segment;
+      ASSERT_NO_THROW(segment = MmapSegment::open(path));
+      EXPECT_EQ(segment->num_classes(), loaded->header.num_classes);
+      ASSERT_EQ(segment->size(), loaded->records.size());
+      for (std::size_t i = 0; i < loaded->records.size(); ++i) {
+        StoreRecord actual;
+        ASSERT_NO_THROW(actual = segment->record_at(i));
+        const StoreRecord& expected = loaded->records[i];
+        EXPECT_EQ(actual.canonical, expected.canonical);
+        EXPECT_EQ(actual.representative, expected.representative);
+        EXPECT_EQ(actual.rep_to_canonical, expected.rep_to_canonical);
+        EXPECT_EQ(actual.class_id, expected.class_id);
+        EXPECT_EQ(actual.class_size, expected.class_size);
+      }
+      continue;
+    }
+    bool rejected = false;
+    try {
+      const auto segment = MmapSegment::open(path);
+      for (std::size_t i = 0; i < segment->size(); ++i) {
+        (void)segment->record_at(i);
+      }
+    } catch (const StoreFormatError&) {
+      rejected = true;
+    }
+    EXPECT_TRUE(rejected) << "the materialized loader rejected a mutant mmap accepted";
+  }
+  // The budget must exercise both verdicts (a flip in an unchecked header
+  // word, or a splice that cuts and rejoins at the same offset, loads).
+  EXPECT_GT(accepted, 0u);
+  EXPECT_LT(accepted, 1500u);
+  std::remove(path.c_str());
 }
 
 }  // namespace
