@@ -5,6 +5,13 @@
 
 namespace facet {
 
+std::string indexed_name(const char* prefix, std::size_t index)
+{
+  std::string name{prefix};
+  name += std::to_string(index);
+  return name;
+}
+
 Aig::Aig()
 {
   nodes_.push_back(NodeData{});  // node 0: constant false
@@ -20,7 +27,7 @@ Aig::Literal Aig::add_input(std::string name)
   const Node node = static_cast<Node>(nodes_.size());
   nodes_.push_back(NodeData{});
   inputs_.push_back(node);
-  input_names_.push_back(name.empty() ? "i" + std::to_string(inputs_.size() - 1) : std::move(name));
+  input_names_.push_back(name.empty() ? indexed_name("i", inputs_.size() - 1) : std::move(name));
   return make_literal(node);
 }
 
@@ -73,7 +80,7 @@ void Aig::add_output(Literal lit, std::string name)
     throw std::invalid_argument("Aig::add_output: literal out of range");
   }
   outputs_.push_back(lit);
-  output_names_.push_back(name.empty() ? "o" + std::to_string(outputs_.size() - 1) : std::move(name));
+  output_names_.push_back(name.empty() ? indexed_name("o", outputs_.size() - 1) : std::move(name));
 }
 
 }  // namespace facet

@@ -10,12 +10,17 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 namespace facet {
+
+/// `prefix` followed by the decimal `index` ("a3", "idx12"): the naming of
+/// generated circuit inputs and outputs.
+[[nodiscard]] std::string indexed_name(const char* prefix, std::size_t index);
 
 class Aig {
  public:

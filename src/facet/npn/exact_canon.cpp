@@ -402,7 +402,7 @@ class Bnb {
   std::array<int, 8> assigned_phase_{};
 };
 
-/// Single-word specialization of the branch-and-bound for 4 <= n <= 6 — the
+/// Single-word specialization of the branch-and-bound for 5 <= n <= 6 — the
 /// store's hot range, where the whole table is one 64-bit word and every
 /// node operation is a handful of register instructions. Same search, same
 /// traversal order, bit-identical results to Bnb (property-tested via the
@@ -585,18 +585,14 @@ class WordBnb {
   std::array<int, 8> assigned_phase_{};
 };
 
+/// The branch-and-bound for 4 < n <= 8 (width <= 4 is the NPN4 table's).
 template <bool track>
 CanonResult canonical_dispatch(const TruthTable& tt)
 {
-  const int n = tt.num_vars();
-  if (n > 8) {
+  if (tt.num_vars() > 8) {
     throw std::invalid_argument("exact_npn_canonical: limited to n <= 8");
   }
-  if (n <= 3) {
-    // Orbits are tiny; the walk's incremental steps beat the bound machinery.
-    return walk<track>(tt);
-  }
-  if (n <= kVarsPerWord) {
+  if (tt.num_vars() <= kVarsPerWord) {
     return WordBnb<track>{tt}.result(tt);
   }
   return Bnb<track>{tt}.result();
@@ -607,11 +603,15 @@ CanonResult canonical_dispatch(const TruthTable& tt)
 TruthTable exact_npn_canonical(const TruthTable& tt)
 {
   if (tt.num_vars() <= kNpn4MaxVars) {
-    // Tier zero: one array load resolves the whole orbit search. Left out
-    // of the bb/walk histograms — there is no search to time.
+    // One array load resolves the whole orbit search. Left out of the
+    // bb/walk histograms — there is no search to time.
     return TruthTable::from_word(tt.num_vars(), npn4_lookup(tt).canonical_word);
   }
-  return exact_npn_canonical_search(tt);
+  static obs::LatencyHistogram& latency = canonicalize_histogram("bb");
+  const std::uint64_t t0 = obs::now_ticks();
+  TruthTable canonical = canonical_dispatch<false>(tt).canonical;
+  latency.record_ns(obs::ticks_to_ns(obs::now_ticks() - t0));
+  return canonical;
 }
 
 CanonResult exact_npn_canonical_with_transform(const TruthTable& tt)
@@ -621,20 +621,6 @@ CanonResult exact_npn_canonical_with_transform(const TruthTable& tt)
     return CanonResult{TruthTable::from_word(tt.num_vars(), result.canonical_word),
                        result.transform};
   }
-  return exact_npn_canonical_search_with_transform(tt);
-}
-
-TruthTable exact_npn_canonical_search(const TruthTable& tt)
-{
-  static obs::LatencyHistogram& latency = canonicalize_histogram("bb");
-  const std::uint64_t t0 = obs::now_ticks();
-  TruthTable canonical = canonical_dispatch<false>(tt).canonical;
-  latency.record_ns(obs::ticks_to_ns(obs::now_ticks() - t0));
-  return canonical;
-}
-
-CanonResult exact_npn_canonical_search_with_transform(const TruthTable& tt)
-{
   static obs::LatencyHistogram& latency = canonicalize_histogram("bb");
   const std::uint64_t t0 = obs::now_ticks();
   CanonResult result = canonical_dispatch<true>(tt);

@@ -12,22 +12,27 @@
 ///    reference for n <= 6 (Table III): walk the full orbit with
 ///    O(1)-table-op incremental steps (see enumerate.hpp). Exponential in n
 ///    with no pruning, which is why the paper reports it failing beyond 6
-///    variables.
+///    variables. Kept as the oracle.
 ///
-///  * exact_npn_canonical — branch-and-bound in the spirit of the paper's
-///    thesis: cheap invariant characteristics prune the transform search.
-///    Target positions are assigned most-significant first; at depth d the
-///    2^d top-block popcounts (d-ary cofactor counts of the partial
-///    assignment) give a sound lower bound on every completion (each block's
-///    ones packed at its low end), so subtrees that cannot beat the current
-///    incumbent are cut. The incumbent is seeded with the one-pass semiclass
-///    form (semiclass.hpp), which constrains the enumeration to
+///  * exact_npn_canonical — the serving canonicalizer. Width <= 4 is one
+///    load from the baked NPN4 norm table (npn4_table.hpp). Wider inputs run
+///    branch-and-bound in the spirit of the paper's thesis: cheap invariant
+///    characteristics prune the transform search. Target positions are
+///    assigned most-significant first; at depth d the 2^d top-block
+///    popcounts (d-ary cofactor counts of the partial assignment) give a
+///    sound lower bound on every completion (each block's ones packed at its
+///    low end), so subtrees that cannot beat the current incumbent are cut.
+///    The incumbent is seeded with the one-pass semiclass form
+///    (semiclass.hpp), which constrains the enumeration to
 ///    permutations/phases consistent with the semiclass cofactor ordering —
 ///    orders of magnitude fewer nodes than the full orbit on typical
 ///    functions, while remaining exhaustive (bit-identical results).
 ///
 /// Both are limited to n <= 8 and both output polarities are searched, so
-/// the results agree exactly (property-tested).
+/// the results agree exactly (the table exhaustively, the branch-and-bound
+/// property-tested). Each search records its latency under
+/// `facet_canonicalize_latency{path="bb"|"walk"}`; a table answer records
+/// nothing.
 
 #pragma once
 
@@ -50,13 +55,6 @@ struct CanonResult {
 /// Canonical form plus a witnessing transform (table for n <= 4,
 /// branch-and-bound beyond; n <= 8).
 [[nodiscard]] CanonResult exact_npn_canonical_with_transform(const TruthTable& tt);
-
-/// The pre-table dispatch (walk for n <= 3, branch-and-bound beyond):
-/// identical results to exact_npn_canonical at every width, but never
-/// consults the NPN4 table. Kept as the table-off baseline the benchmarks
-/// measure speedups against and the path a table-disabled store runs.
-[[nodiscard]] TruthTable exact_npn_canonical_search(const TruthTable& tt);
-[[nodiscard]] CanonResult exact_npn_canonical_search_with_transform(const TruthTable& tt);
 
 /// Reference implementation: exhaustive orbit walk with no pruning. Kept as
 /// the oracle the branch-and-bound is property-tested against.

@@ -13,11 +13,13 @@
 /// and label conventions are documented in the README's Observability
 /// section; the major series:
 ///
-///   facet_store_lookup_latency{tier=cache|memo|index|live|miss,width=<n>}
+///   facet_store_lookup_latency{tier=table|cache|memo|index|live|miss,
+///                              width=<n>}    (tier=table at width <= 4;
+///                                             cache and memo above)
 ///   facet_store_probe_pages{width=<n>}       (data pages touched per mmap
-///                                             base-segment probe; ~1 for
-///                                             block-packed v3, O(log N) for
-///                                             dense v2)
+///                                             base-segment probe; ~1, since
+///                                             mmap serves block-packed v3
+///                                             only)
 ///   facet_segment_block_scan_len{width=<n>}  (records scanned inside the
 ///                                             one v3 block a probe lands on)
 ///   facet_serve_frame_latency{proto=v2,verb=lookup|append|stats|metrics|
@@ -29,6 +31,7 @@
 ///   facet_serve_active_connections        (gauge)
 ///   facet_store_delta_runs{width=<n>}     (gauge)
 ///   facet_store_memo_entries{width=<n>}   (gauge)
+///   facet_store_hot_cache_entries{width=<n>} (gauge)
 ///   facet_store_mapped_segment_bytes      (gauge)
 ///
 /// Exposition: `render_prometheus()` emits the text format scraped by the

@@ -48,7 +48,7 @@ ClassStore::ClassStore(int num_vars, ClassStoreOptions options)
   if (num_vars < 0 || num_vars > kMaxVars) {
     throw std::invalid_argument{"ClassStore: num_vars out of range"};
   }
-  if (num_vars <= kNpn4MaxVars && options_.use_npn4_table) {
+  if (num_vars <= kNpn4MaxVars) {
     npn4_ = std::make_unique<Npn4Slots>(npn4_num_classes(num_vars));
   }
   resolve_metrics();
@@ -776,13 +776,29 @@ void ClassStore::npn4_prefill()
 
 std::optional<StoreLookupResult> ClassStore::probe_cache(const TruthTable& f) const
 {
-  if (npn4_ != nullptr && f.num_vars() == num_vars_) {
+  if (f.num_vars() != num_vars_) {
+    return std::nullopt;
+  }
+  Npn4Result table;
+  return fast_front(f, table);
+}
+
+std::optional<StoreLookupResult> ClassStore::fast_front(const TruthTable& f,
+                                                        Npn4Result& table) const
+{
+  if (npn4_ != nullptr) {
+    // One table load resolves class index + canonical + witness; a filled
+    // slot turns that into the store answer without pinning the gate. The
+    // entry is a local, copied out only on a miss: building the hit from
+    // the out-parameter measured ~15 ns slower per table hit.
     const Npn4Result entry = npn4_lookup(f);
     if (const StoreRecord* slot =
             npn4_->slots[entry.class_index].load(std::memory_order_acquire)) {
       table_hits_.fetch_add(1, std::memory_order_relaxed);
       return make_result(*slot, entry.transform, LookupSource::kTable);
     }
+    table = entry;
+    return std::nullopt;
   }
   if (const auto entry = cache_.get(f)) {
     StoreLookupResult result;
@@ -873,194 +889,93 @@ void ClassStore::memo_insert(const SemiclassKey& key, const StoreRecord& record)
 std::optional<StoreLookupResult> ClassStore::lookup(const TruthTable& f) const
 {
   check_width(f, "ClassStore::lookup");
-  // The cache/memo tiers resolve in a few hundred ns — even one clock read
-  // stalls them measurably, so their series sample 1 in kFastTierSample
-  // events (see obs::sample_1_in). The canonicalize-and-search tiers are
-  // microseconds-scale and time every event; an unsampled slow lookup
-  // starts its clock after the fast probes, which under-reports by the
-  // probe cost (~2% of a cold lookup) instead of taxing every warm hit.
-  const bool sampled = obs::sample_1_in<kFastTierSample>();
-  std::uint64_t t0 = sampled ? obs::now_ticks() : 0;
-  if (npn4_ != nullptr) {
-    // Tier 0: one table load resolves class index + canonical + witness.
-    // No cache, no memo, no canonicalization — the table IS the
-    // canonicalizer here, and a filled slot never pins the gate.
-    const Npn4Result entry = npn4_lookup(f);
-    if (const StoreRecord* slot =
-            npn4_->slots[entry.class_index].load(std::memory_order_acquire)) {
-      table_hits_.fetch_add(1, std::memory_order_relaxed);
-      StoreLookupResult result = make_result(*slot, entry.transform, LookupSource::kTable);
-      if (sampled) {
-        record_lookup_latency(static_cast<std::size_t>(LookupSource::kTable), t0);
-      }
-      return result;
-    }
-    // Slot cold: probe the index with the table-provided canonical form —
-    // still searchless, and a hit fills the slot for every later query.
-    if (!sampled) {
-      t0 = obs::now_ticks();
-    }
-    const TruthTable canonical = TruthTable::from_word(num_vars_, entry.canonical_word);
-    if (const std::optional<StoreRecord> record = find_canonical(canonical)) {
-      npn4_publish(entry.class_index, *record);
-      table_hits_.fetch_add(1, std::memory_order_relaxed);
-      StoreLookupResult result = make_result(*record, entry.transform, LookupSource::kTable);
-      record_lookup_latency(static_cast<std::size_t>(LookupSource::kTable), t0);
-      return result;
-    }
-    record_lookup_latency(kMissTier, t0);
-    return std::nullopt;
-  }
-  if (auto cached = probe_cache(f)) {
-    if (sampled) {
-      record_lookup_latency(static_cast<std::size_t>(LookupSource::kHotCache), t0);
-    }
-    return cached;
-  }
-  std::optional<SemiclassKey> key;
-  // A bypassed memo skips the key derivation too — the derivation is most
-  // of what the probation measured as waste.
-  if (options_.semiclass_memo_capacity > 0 && !memo_bypassed()) {
-    key = semiclass_key(f);
-    if (auto memoized = memo_probe(f, *key)) {
-      if (sampled) {
-        record_lookup_latency(static_cast<std::size_t>(LookupSource::kMemo), t0);
-      }
-      return memoized;
-    }
-  }
-  if (!sampled) {
-    t0 = obs::now_ticks();
-  }
-  canonicalizations_.fetch_add(1, std::memory_order_relaxed);
-  auto result = lookup_canonical_impl(f, exact_npn_canonical_with_transform(f),
-                                      key ? &*key : nullptr);
-  record_lookup_latency(
-      result.has_value() ? static_cast<std::size_t>(result->source) : kMissTier, t0);
-  return result;
-}
-
-std::optional<StoreLookupResult> ClassStore::lookup_canonical(const TruthTable& f,
-                                                              const CanonResult& canon) const
-{
-  check_width(f, "ClassStore::lookup_canonical");
-  return lookup_canonical_impl(f, canon, nullptr);
-}
-
-std::optional<StoreLookupResult> ClassStore::lookup_canonical_impl(const TruthTable& f,
-                                                                   const CanonResult& canon,
-                                                                   const SemiclassKey* key) const
-{
-  const std::optional<StoreRecord> record = find_canonical(canon.canonical);
-  if (!record.has_value()) {
-    return std::nullopt;
-  }
-  StoreLookupResult result = make_result(*record, canon.transform, LookupSource::kIndex);
-  cache_.put(f, CacheEntry{result.class_id, result.representative, result.to_representative});
-  if (key != nullptr) {
-    memo_insert(*key, *record);
-  }
-  return result;
+  return walk(f, MissPolicy::kNone);
 }
 
 StoreLookupResult ClassStore::lookup_or_classify(const TruthTable& f, bool append_on_miss)
 {
   check_width(f, "ClassStore::lookup_or_classify");
-  // Same sampling split as lookup(): fast tiers 1-in-K, slow tiers always.
+  return *walk(f, append_on_miss ? MissPolicy::kAppend : MissPolicy::kTransient);
+}
+
+std::optional<StoreLookupResult> ClassStore::walk(const TruthTable& f, MissPolicy miss) const
+{
+  // The fast front and the memo resolve in a few hundred ns — even one
+  // clock read stalls them measurably, so their series sample 1 in
+  // kFastTierSample events (see obs::sample_1_in). The canonicalize-and-
+  // resolve tiers are microseconds-scale and time every event; an unsampled
+  // slow lookup starts its clock after the fast probes, which under-reports
+  // by the probe cost (~2% of a cold lookup) instead of taxing every warm hit.
   const bool sampled = obs::sample_1_in<kFastTierSample>();
   std::uint64_t t0 = sampled ? obs::now_ticks() : 0;
-  if (npn4_ != nullptr) {
-    // Tier 0, mirroring lookup(): the table replaces cache, memo and the
-    // canonicalizer wholesale for width <= 4.
-    const Npn4Result entry = npn4_lookup(f);
-    if (const StoreRecord* slot =
-            npn4_->slots[entry.class_index].load(std::memory_order_acquire)) {
-      table_hits_.fetch_add(1, std::memory_order_relaxed);
-      StoreLookupResult result = make_result(*slot, entry.transform, LookupSource::kTable);
-      if (sampled) {
-        record_lookup_latency(static_cast<std::size_t>(LookupSource::kTable), t0);
-      }
-      return result;
-    }
-    if (!sampled) {
-      t0 = obs::now_ticks();
-    }
-    const std::size_t class_index = entry.class_index;
-    const CanonResult canon{TruthTable::from_word(num_vars_, entry.canonical_word),
-                            entry.transform};
-    const StoreLookupResult result =
-        lookup_or_classify_impl(f, canon, append_on_miss, nullptr, &class_index);
-    record_lookup_latency(static_cast<std::size_t>(result.source), t0);
-    return result;
-  }
-  if (auto cached = probe_cache(f)) {
-    if (sampled) {
-      record_lookup_latency(static_cast<std::size_t>(LookupSource::kHotCache), t0);
-    }
-    return *cached;
-  }
+  Npn4Result table;
+  std::optional<StoreLookupResult> result = fast_front(f, table);
+  // The memo serves width >= 5 only: below, the slots answer every class
+  // the store holds. A bypassed memo skips the key derivation too — the
+  // derivation is most of what the probation measured as waste.
   std::optional<SemiclassKey> key;
-  if (options_.semiclass_memo_capacity > 0 && !memo_bypassed()) {
+  if (!result && npn4_ == nullptr && options_.semiclass_memo_capacity > 0 &&
+      !memo_bypassed()) {
     key = semiclass_key(f);
-    if (auto memoized = memo_probe(f, *key)) {
-      if (sampled) {
-        record_lookup_latency(static_cast<std::size_t>(LookupSource::kMemo), t0);
-      }
-      return *memoized;
+    result = memo_probe(f, *key);
+  }
+  if (result) {
+    if (sampled) {
+      record_lookup_latency(static_cast<std::size_t>(result->source), t0);
     }
+    return result;
   }
   if (!sampled) {
     t0 = obs::now_ticks();
   }
-  canonicalizations_.fetch_add(1, std::memory_order_relaxed);
-  const StoreLookupResult result = lookup_or_classify_impl(
-      f, exact_npn_canonical_with_transform(f), append_on_miss, key ? &*key : nullptr);
-  record_lookup_latency(static_cast<std::size_t>(result.source), t0);
+  // At width <= 4 the fast front's table load already holds the canonical
+  // form and witness: the table IS the canonicalizer there.
+  const CanonResult canon = [&] {
+    if (npn4_ != nullptr) {
+      return CanonResult{TruthTable::from_word(num_vars_, table.canonical_word), table.transform};
+    }
+    canonicalizations_.fetch_add(1, std::memory_order_relaxed);
+    return exact_npn_canonical_with_transform(f);
+  }();
+  const std::size_t npn4_class = table.class_index;
+  result = resolve(f, canon, miss, key ? &*key : nullptr,
+                   npn4_ != nullptr ? &npn4_class : nullptr);
+  record_lookup_latency(result ? static_cast<std::size_t>(result->source) : kMissTier, t0);
   return result;
 }
 
-StoreLookupResult ClassStore::lookup_or_classify_canonical(const TruthTable& f,
-                                                           const CanonResult& canon,
-                                                           bool append_on_miss)
+std::optional<StoreLookupResult> ClassStore::resolve(const TruthTable& f,
+                                                     const CanonResult& canon, MissPolicy miss,
+                                                     const SemiclassKey* key,
+                                                     const std::size_t* npn4_class) const
 {
-  check_width(f, "ClassStore::lookup_or_classify_canonical");
-  return lookup_or_classify_impl(f, canon, append_on_miss, nullptr);
-}
-
-StoreLookupResult ClassStore::lookup_or_classify_impl(const TruthTable& f,
-                                                      const CanonResult& canon,
-                                                      bool append_on_miss,
-                                                      const SemiclassKey* key,
-                                                      const std::size_t* npn4_class)
-{
-  // On the table-tier path (non-null npn4_class) an index hit is reported
-  // as src=table — the table did the canonicalization — and fills the
-  // class's slot so every later query is one array load; the LRU cache and
-  // the memo stay cold (the slot outperforms both).
-  const auto resolve_hit = [&](const StoreRecord& record) {
+  // At width <= 4 an index hit is reported as src=table — the table did the
+  // canonicalization — and fills the class's slot, so every later query is
+  // one array load.
+  const auto hit = [&](const StoreRecord& record) {
+    LookupSource source = LookupSource::kIndex;
     if (npn4_class != nullptr) {
-      npn4_publish(*npn4_class, record);
       table_hits_.fetch_add(1, std::memory_order_relaxed);
-      return make_result(record, canon.transform, LookupSource::kTable);
+      source = LookupSource::kTable;
     }
-    StoreLookupResult result = make_result(record, canon.transform, LookupSource::kIndex);
-    cache_.put(f, CacheEntry{result.class_id, result.representative, result.to_representative});
-    if (key != nullptr) {
-      memo_insert(*key, record);
-    }
+    std::optional<StoreLookupResult> result = make_result(record, canon.transform, source);
+    learn(f, record, *result, key, npn4_class);
     return result;
   };
 
-  // Known classes resolve without entering the gate, like lookup_canonical.
+  // Known classes resolve without entering the gate.
   if (const std::optional<StoreRecord> record = find_canonical(canon.canonical)) {
-    return resolve_hit(*record);
+    return hit(*record);
+  }
+  if (miss == MissPolicy::kNone) {
+    return std::nullopt;
   }
 
   // Miss: serialize through the gate and re-probe — a concurrent session
   // may have appended this very class between our probe and the gate.
   const auto gate = gate_->acquire();
   if (const std::optional<StoreRecord> record = find_canonical(canon.canonical)) {
-    return resolve_hit(*record);
+    return hit(*record);
   }
 
   // Live tier: the class is new. Reuse (or allocate) its dense id and keep
@@ -1081,7 +996,7 @@ StoreLookupResult ClassStore::lookup_or_classify_impl(const TruthTable& f,
   StoreLookupResult result = make_result(record, canon.transform, LookupSource::kLive);
   result.known = false;
 
-  if (append_on_miss) {
+  if (miss == MissPolicy::kAppend) {
     if (transient != miss_records_.end()) {
       miss_records_.erase(transient);
     }
@@ -1091,24 +1006,28 @@ StoreLookupResult ClassStore::lookup_or_classify_impl(const TruthTable& f,
                                static_cast<std::uint32_t>(memtable_->records.size()));
       memtable_->records.push_back(record);
     }
-    if (npn4_class != nullptr) {
-      // Persistent from here on: the slot may serve it. Transient misses
-      // (the else branch) never fill a slot — they must keep reporting
-      // known=false until someone appends them.
-      npn4_publish(*npn4_class, record);
-    } else {
-      cache_.put(f, CacheEntry{result.class_id, result.representative, result.to_representative});
-      if (key != nullptr) {
-        // The class is persistent from here on, so the memo may serve it.
-        // Transient misses (the else branch) are never memoized: they must
-        // keep reporting known=false until someone appends them.
-        memo_insert(*key, record);
-      }
-    }
+    // Persistent from here on, so the slot, cache and memo may serve it.
+    // Transient misses (the else branch) warm none of them: they must keep
+    // reporting known=false until someone appends them.
+    learn(f, record, result, key, npn4_class);
   } else if (transient == miss_records_.end()) {
     miss_records_.emplace(record.canonical, record);
   }
   return result;
+}
+
+void ClassStore::learn(const TruthTable& f, const StoreRecord& record,
+                       const StoreLookupResult& result, const SemiclassKey* key,
+                       const std::size_t* npn4_class) const
+{
+  if (npn4_class != nullptr) {
+    npn4_publish(*npn4_class, record);
+    return;
+  }
+  cache_.put(f, CacheEntry{result.class_id, result.representative, result.to_representative});
+  if (key != nullptr) {
+    memo_insert(*key, record);
+  }
 }
 
 }  // namespace facet

@@ -5,35 +5,39 @@
 /// one record per NPN class, keyed by the exact canonical form
 /// (exact_npn_canonical), carrying the dense class id, the first dataset
 /// member as representative, the class size, and the transform mapping the
-/// representative onto the canonical form. Lookup of a query function f
-/// resolves through a tiered read path:
+/// representative onto the canonical form. lookup() and lookup_or_classify()
+/// resolve a query function f through ONE tier walk, differing only in what
+/// the last step does when no tier knows the class:
 ///
-///   0. table       — width <= 4 only: the baked NPN4 norm table
+///   1. fast front  — probe_cache(): at width <= 4 the baked NPN4 norm table
 ///                    (npn4_table.hpp) resolves class index, canonical form
-///                    and witness in ONE array load, and a per-class
+///                    and witness in one array load, and a per-class
 ///                    write-once slot turns that into the full store answer
-///                    — no canonicalizer, no cache, no gate, no search;
-///   1. hot cache   — f itself was looked up recently: one sharded-LRU
-///                    probe, no canonicalization at all (hot_cache.hpp);
-///   2. memo        — semiclass memo: hash f's NPN-invariant semiclass key
+///                    (src=table; no gate, no search). Wider stores probe
+///                    the sharded-LRU hot cache by f itself (hot_cache.hpp).
+///                    A width <= 4 store never uses the cache or the memo:
+///                    its slots answer every class the store holds;
+///   2. memo        — width >= 5: hash f's NPN-invariant semiclass key
 ///                    (semiclass.hpp) into a bucket of previously resolved
 ///                    classes and confirm membership with the Boolean
 ///                    matcher (matcher.hpp) — no exact canonicalization;
-///   3. memtable    — canonicalize f with a witnessing transform, then probe
-///                    the unflushed appends (hash map);
-///   4. delta runs  — flushed-but-uncompacted append runs, consulted
-///                    newest-first (each a small sorted MaterializedSegment);
-///   5. base        — the compacted index: a binary search over the sorted
-///                    records, either materialized in RAM (load; any format
-///                    version) or executed in place over a read-only mmap
-///                    of a version-3 `.fcs` file (open with use_mmap; one
-///                    block per probe, lazily validated);
-///   6. live        — unknown canonical form: fall back to live
-///                    classification, allocating the next dense class id,
-///                    and optionally appending the new class to the store.
+///   3. canonical   — f's canonical form and witness: the table's word at
+///                    width <= 4, the branch-and-bound (exact_canon.hpp)
+///                    above;
+///   4. resolve     — probe the memtable (unflushed appends), the delta runs
+///                    newest-first, then the base: a binary search over the
+///                    sorted records, either materialized in RAM (load; any
+///                    format version) or executed in place over a read-only
+///                    mmap of a version-3 `.fcs` file (open with use_mmap;
+///                    one block per probe, lazily validated). A hit warms
+///                    the slot (width <= 4) or the cache and memo. A miss
+///                    follows the caller's policy: lookup() reports nullopt;
+///                    lookup_or_classify() classifies live, allocating the
+///                    next dense class id and optionally appending the new
+///                    class to the store.
 ///
 /// The semiclass memo exists because exact canonicalization dominates every
-/// tier below it: a memo hit replaces the canonical-form search with one
+/// tier after it: a memo hit replaces the canonical-form search with one
 /// invariant-key hash plus a signature-pruned matcher probe. The memo learns
 /// every class the slow path resolves (index hits and appended live misses;
 /// never the transient non-appending misses, which must keep reporting
@@ -84,9 +88,9 @@
 ///     written file, and only the caller's own file-level coordination
 ///     prevents two writers racing on one target path.
 ///
-/// Thread-safe from any mix of threads: lookup(), lookup_canonical(),
-/// probe_cache(), find_canonical(), find_class_id(), lookup_or_classify(),
-/// lookup_or_classify_canonical(), flush_delta(), the three-phase
+/// Thread-safe from any mix of threads: lookup(), probe_cache(),
+/// find_canonical(), find_class_id(), lookup_or_classify(),
+/// flush_delta(), the three-phase
 /// compaction API, and the counters (num_records / num_appended /
 /// num_delta_segments / num_classes / ...). Readers never enter the
 /// mutation gate: the snapshot pin and the memtable probe each take a
@@ -123,6 +127,7 @@
 
 #include "facet/npn/exact_canon.hpp"
 #include "facet/npn/matcher.hpp"
+#include "facet/npn/npn4_table.hpp"
 #include "facet/npn/semiclass.hpp"
 #include "facet/npn/transform.hpp"
 #include "facet/obs/histogram.hpp"
@@ -160,7 +165,8 @@ struct StoreLookupResult {
 };
 
 struct ClassStoreOptions {
-  /// Total hot-cache entries across shards; 0 disables the cache.
+  /// Total hot-cache entries across shards; 0 disables the cache. Width
+  /// <= 4 stores never consult it (nor the memo): the norm table answers.
   std::size_t hot_cache_capacity = 1u << 16;
   std::size_t hot_cache_shards = 8;
   /// Total semiclass-memo entries across buckets; 0 disables the memo tier.
@@ -178,12 +184,6 @@ struct ClassStoreOptions {
   /// Minimum memo hits inside the probation window that keep the memo
   /// enabled (~1.5% of the default window).
   std::uint64_t memo_probation_min_hits = 16;
-  /// Resolve width <= 4 queries through the baked NPN4 norm table
-  /// (LookupSource::kTable): one array load replaces the hot cache, the
-  /// semiclass memo AND the canonicalizer. Class ids are bit-identical
-  /// either way — the table changes how a class resolves, never which
-  /// class it is. No effect on stores wider than 4 variables.
-  bool use_npn4_table = true;
 };
 
 /// The immutable read tiers of one epoch: the base segment plus the delta
@@ -394,45 +394,26 @@ class ClassStore {
   [[nodiscard]] std::optional<std::uint32_t> find_class_id(const TruthTable& canonical) const;
 
   /// Fast-front probe by the query function itself; never canonicalizes.
-  /// On a width <= 4 store with the table on, a filled norm-table slot
-  /// answers first (src=table); otherwise this is the sharded-LRU probe.
+  /// Width <= 4: the class's norm-table slot (src=table) or nullopt. Wider:
+  /// the sharded-LRU probe (src=cache).
   [[nodiscard]] std::optional<StoreLookupResult> probe_cache(const TruthTable& f) const;
 
-  /// Full read-only lookup. Width <= 4 with the table on: one norm-table
-  /// load resolves class + canonical + witness (src=table) — no cache, no
-  /// memo, no canonicalization, and no gate pin once the class's slot is
-  /// filled. Otherwise: hot cache, else semiclass memo, else canonicalize +
-  /// index (warming the cache and memo on a hit). nullopt if the class is
-  /// not in the store.
+  /// Full read-only lookup through the tier walk (see the file comment):
+  /// fast front, memo, canonicalize, index — warming the slot, or the cache
+  /// and memo, on a hit. nullopt if the class is not in the store; a miss
+  /// fills nothing.
   [[nodiscard]] std::optional<StoreLookupResult> lookup(const TruthTable& f) const;
 
-  /// lookup() minus the cache/memo probes and canonicalization: resolves f
-  /// against the index through a caller-precomputed canonicalization
-  /// (`canon` must be exact_npn_canonical_with_transform(f)), warming the
-  /// cache on a hit. Canonicalization is the expensive step, so a caller
-  /// that already paid for it — the serve session — reuses it here and in
-  /// lookup_or_classify_canonical().
-  [[nodiscard]] std::optional<StoreLookupResult> lookup_canonical(const TruthTable& f,
-                                                                 const CanonResult& canon) const;
-
-  /// Lookup with live fallback: unknown canonical forms are classified live
-  /// under the next dense class id. With `append_on_miss` the new class
-  /// becomes a persistent record (and is served from the index from then
-  /// on); without it the id is remembered only for this store object's
-  /// lifetime, keeping repeated queries consistent. Known classes resolve
-  /// without touching the gate; the miss path serializes through it and
-  /// re-probes, so concurrent sessions racing on one novel class agree on
-  /// one id. Resolves through the full tier stack: norm table (width <= 4),
-  /// hot cache, semiclass memo, index, live — a table or memo hit never
-  /// canonicalizes.
+  /// The same tier walk with live fallback: unknown canonical forms are
+  /// classified live under the next dense class id. With `append_on_miss`
+  /// the new class becomes a persistent record (and is served from the
+  /// index from then on); without it the id is remembered only for this
+  /// store object's lifetime, keeping repeated queries consistent, and no
+  /// slot, cache or memo entry is filled. Known classes resolve without
+  /// touching the gate; the miss path serializes through it and re-probes,
+  /// so concurrent sessions racing on one novel class agree on one id.
   [[nodiscard]] StoreLookupResult lookup_or_classify(const TruthTable& f,
                                                      bool append_on_miss = false);
-
-  /// lookup_or_classify() through a caller-precomputed canonicalization
-  /// (no cache/memo probes, no canonicalization — see lookup_canonical).
-  [[nodiscard]] StoreLookupResult lookup_or_classify_canonical(const TruthTable& f,
-                                                               const CanonResult& canon,
-                                                               bool append_on_miss);
 
   // -- hot cache -----------------------------------------------------------
 
@@ -447,9 +428,8 @@ class ClassStore {
     return memo_hits_.load(std::memory_order_relaxed);
   }
   /// Exact canonicalizations performed inside lookup() / lookup_or_classify()
-  /// — queries that missed both the hot cache and the memo. Probes through
-  /// the *_canonical entry points canonicalize on the caller's side and are
-  /// not counted.
+  /// — queries that missed both the hot cache and the memo. Always 0 on
+  /// stores of width <= 4, where the norm table is the canonicalizer.
   [[nodiscard]] std::uint64_t num_canonicalizations() const noexcept
   {
     return canonicalizations_.load(std::memory_order_relaxed);
@@ -472,8 +452,7 @@ class ClassStore {
   // -- NPN4 table tier -------------------------------------------------------
 
   /// Lookups resolved by the NPN4 norm-table tier (LookupSource::kTable).
-  /// Always 0 on stores wider than 4 variables or built with
-  /// use_npn4_table = false.
+  /// Always 0 on stores wider than 4 variables.
   [[nodiscard]] std::uint64_t num_table_hits() const noexcept
   {
     return table_hits_.load(std::memory_order_relaxed);
@@ -516,7 +495,12 @@ class ClassStore {
     std::size_t entries = 0;
   };
 
-  /// Tier 0 (width <= 4 with use_npn4_table): one write-once slot per NPN
+  /// What the resolve step does when no tier knows the class: lookup()
+  /// reports nullopt; lookup_or_classify() classifies live, keeping the new
+  /// class for this object's lifetime (transient) or as a record (append).
+  enum class MissPolicy { kNone, kTransient, kAppend };
+
+  /// The fast front of a width <= 4 store: one write-once slot per NPN
   /// class of the store's width, indexed by the norm table's dense class
   /// index. A filled slot points at an immutable heap-owned record, so a
   /// reader resolves a query with one npn4_lookup plus one acquire load —
@@ -553,18 +537,28 @@ class ClassStore {
   /// Memoizes a resolved class under `key` (dedup by canonical form;
   /// wholesale clear on overflow). No-op when the memo is disabled.
   void memo_insert(const SemiclassKey& key, const StoreRecord& record) const;
-  /// lookup_canonical plus memo learning: a non-null `key` memoizes the
-  /// record on an index hit.
-  [[nodiscard]] std::optional<StoreLookupResult> lookup_canonical_impl(
-      const TruthTable& f, const CanonResult& canon, const SemiclassKey* key) const;
-  /// lookup_or_classify_canonical plus memo learning: a non-null `key`
-  /// memoizes index hits and appended live misses (never the transient
-  /// non-appending misses, which must keep reporting known=false).
-  [[nodiscard]] StoreLookupResult lookup_or_classify_impl(const TruthTable& f,
-                                                          const CanonResult& canon,
-                                                          bool append_on_miss,
-                                                          const SemiclassKey* key,
-                                                          const std::size_t* npn4_class = nullptr);
+  /// probe_cache() that also hands back f's norm-table entry at width <= 4,
+  /// so the canonicalize step of a cold slot needs no second table load.
+  [[nodiscard]] std::optional<StoreLookupResult> fast_front(const TruthTable& f,
+                                                            Npn4Result& table) const;
+  /// The tier walk behind lookup() and lookup_or_classify(): fast front,
+  /// memo, canonicalize, resolve. Returns nullopt only under kNone.
+  [[nodiscard]] std::optional<StoreLookupResult> walk(const TruthTable& f,
+                                                      MissPolicy miss) const;
+  /// The resolve step: index probe, then the miss policy. A hit, or an
+  /// appended live miss, warms the slot of a non-null `npn4_class` or else
+  /// the cache and (under a non-null `key`) the memo; transient misses
+  /// warm nothing, so they keep reporting known=false.
+  [[nodiscard]] std::optional<StoreLookupResult> resolve(const TruthTable& f,
+                                                         const CanonResult& canon,
+                                                         MissPolicy miss,
+                                                         const SemiclassKey* key,
+                                                         const std::size_t* npn4_class) const;
+  /// The learning half of resolve(): publishes `record` to the slot of a
+  /// non-null `npn4_class`, else caches `result` under f and memoizes
+  /// `record` under a non-null `key`.
+  void learn(const TruthTable& f, const StoreRecord& record, const StoreLookupResult& result,
+             const SemiclassKey* key, const std::size_t* npn4_class) const;
   /// Publishes `record` into the table-tier slot of `class_index`
   /// (double-checked under the slot writer mutex; no-op when already
   /// filled). const because slots warm from const lookups, like the cache.
@@ -620,15 +614,17 @@ class ClassStore {
   /// key derivation so a bypassed memo costs one relaxed load per lookup.
   mutable std::atomic<bool> memo_bypassed_{false};
   mutable std::atomic<std::uint64_t> canonicalizations_{0};
-  /// Tier 0 slots; non-null iff num_vars_ <= 4 and use_npn4_table. unique_ptr
-  /// so the store stays movable (slot atomics are not).
+  /// Norm-table slots; non-null iff num_vars_ <= 4. unique_ptr so the store
+  /// stays movable (slot atomics are not).
   std::unique_ptr<Npn4Slots> npn4_;
   mutable std::atomic<std::uint64_t> table_hits_{0};
   /// Live-transient classes (non-appending misses), keyed by canonical form.
   /// Never visible to find_canonical() or the hot cache, so the batch
-  /// engine's store keys stay consistent. Gate holders only.
-  std::unordered_map<TruthTable, StoreRecord, TruthTableHash> miss_records_;
-  std::atomic<std::uint64_t> next_class_id_{0};
+  /// engine's store keys stay consistent. Gate holders only. mutable (like
+  /// next_class_id_) because the const walk() writes both in its live step,
+  /// which only the non-const lookup_or_classify() reaches.
+  mutable std::unordered_map<TruthTable, StoreRecord, TruthTableHash> miss_records_;
+  mutable std::atomic<std::uint64_t> next_class_id_{0};
   std::atomic<std::uint64_t> compactions_{0};
   ShardedLruCache<TruthTable, CacheEntry, TruthTableHash> cache_;
 };

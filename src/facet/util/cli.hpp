@@ -39,7 +39,9 @@ class CliArgs {
                  std::string(argv[i + 1]).rfind("--", 0) != 0) {
         values_[arg] = argv[++i];
       } else {
-        values_[arg] = "1";  // boolean flag
+        // Boolean flag. Assigned as a std::string: GCC 12's -Wrestrict
+        // misfires on string::operator=(const char*) with a literal here.
+        values_[arg] = std::string{"1"};
       }
     }
   }

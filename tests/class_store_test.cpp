@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <random>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -254,14 +255,13 @@ TEST(ClassStore, RejectsCorruptedTruncatedAndMismatchedFiles)
 
 TEST(ClassStore, HotCacheServesRepeatsAndEvicts)
 {
-  const int n = 4;
+  // Width 5: this test pins cache/memo/index tier attribution, which the
+  // NPN4 table tier answers wholesale at width <= 4.
+  const int n = 5;
   const auto funcs = make_npn_workload(n, 20, 2, 0xcafeULL);
   ClassStoreOptions options;
   options.hot_cache_capacity = 4;
   options.hot_cache_shards = 1;
-  // NPN4 table off: this test pins cache/memo/index tier attribution, which
-  // the O(1) table tier would otherwise answer first at width 4.
-  options.use_npn4_table = false;
   StoreBuildOptions build_options;
   build_options.store = options;
   ClassStore store = build_class_store(funcs, build_options);
@@ -304,15 +304,14 @@ TEST(ClassStore, HotCacheServesRepeatsAndEvicts)
 
 TEST(ClassStore, SemiclassMemoServesEquivalentsWithoutRecanonicalizing)
 {
-  const int n = 4;
+  // Width 5: below it the NPN4 table replaces the memo and index tiers.
+  const int n = 5;
   std::mt19937_64 rng{0x5e111ULL};
   const auto funcs = make_npn_workload(n, 20, 2, 0x5e11ULL);
   StoreBuildOptions build_options;
   // Disable the hot cache so tier attribution and the canonicalization
-  // counter are observable without cache interference; NPN4 table off so a
-  // width-4 store reaches the memo and index tiers at all.
+  // counter are observable without cache interference.
   build_options.store.hot_cache_capacity = 0;
-  build_options.store.use_npn4_table = false;
   ClassStore store = build_class_store(funcs, build_options);
 
   const TruthTable f = funcs[0];
@@ -341,13 +340,12 @@ TEST(ClassStore, SemiclassMemoServesEquivalentsWithoutRecanonicalizing)
 
 TEST(ClassStore, MemoDisabledFallsBackToExactCanonicalization)
 {
-  const int n = 4;
+  const int n = 5;
   std::mt19937_64 rng{0x0ffULL};
   const auto funcs = make_npn_workload(n, 20, 2, 0x5e11ULL);
   StoreBuildOptions build_options;
   build_options.store.hot_cache_capacity = 0;
   build_options.store.semiclass_memo_capacity = 0;
-  build_options.store.use_npn4_table = false;
   ClassStore store = build_class_store(funcs, build_options);
 
   const TruthTable f = funcs[0];
@@ -373,7 +371,8 @@ TEST(ClassStore, TransientMissesAreNeverMemoized)
   // A non-appending miss reports known=false. If the memo learned it, a
   // later equivalent query would claim known=true for a class the store
   // never persisted — so transient misses must bypass the memo entirely.
-  const int n = 4;
+  // Width 5: at width <= 4 the table answers first and the memo never runs.
+  const int n = 5;
   std::mt19937_64 rng{0x404ULL};
   ClassStore store{n};
   const TruthTable f = tt_random(n, rng);
@@ -389,19 +388,20 @@ TEST(ClassStore, TransientMissesAreNeverMemoized)
   EXPECT_EQ(second.source, LookupSource::kLive);
   EXPECT_FALSE(second.known);
   EXPECT_EQ(second.class_id, first.class_id);
+  // Both queries reached the memo tier, so the two zeros below observe it.
+  EXPECT_EQ(store.num_memo_probes(), 2u);
   EXPECT_EQ(store.num_memo_hits(), 0u);
   EXPECT_EQ(store.memo_entries(), 0u);
 }
 
 TEST(ClassStore, AppendedClassesAreServedFromTheMemo)
 {
-  const int n = 4;
+  // Width 5: at width <= 4 the appended class would be served from its
+  // table slot rather than the memo this test observes.
+  const int n = 5;
   std::mt19937_64 rng{0xadd5ULL};
   ClassStoreOptions options;
   options.hot_cache_capacity = 0;
-  // NPN4 table off: with it on, the appended class would be served from the
-  // table slot rather than the memo this test observes.
-  options.use_npn4_table = false;
   ClassStore store{n, options};
   const TruthTable f = tt_random(n, rng);
   TruthTable g{n};
@@ -421,6 +421,61 @@ TEST(ClassStore, AppendedClassesAreServedFromTheMemo)
   EXPECT_EQ(apply_transform(g, served.to_representative), served.representative);
   EXPECT_EQ(store.num_memo_hits(), 1u);
   EXPECT_EQ(store.num_appended(), 1u);
+}
+
+TEST(ClassStore, LookupAndLookupOrClassifyShareOneTierWalk)
+{
+  // lookup() and lookup_or_classify(f, false) run one tier walk, so two
+  // identically built stores fed the same queries agree field for field at
+  // every step, whichever tier answers: the table at width <= 4, the index,
+  // memo and cache above.
+  for (int n = 0; n <= 6; ++n) {
+    const auto funcs = make_npn_workload(n, 12, 3, 0x9a11ULL + static_cast<std::uint64_t>(n));
+    ClassStore by_lookup = build_class_store(funcs, {});
+    ClassStore by_classify = build_class_store(funcs, {});
+    by_lookup.clear_hot_cache();
+    by_classify.clear_hot_cache();
+    std::set<LookupSource> sources;
+    // Each function twice: the first member of a class resolves through the
+    // index, a later image of it through the memo, and a repeat from the
+    // cache.
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const TruthTable& f : funcs) {
+        const auto a = by_lookup.lookup(f);
+        const StoreLookupResult b = by_classify.lookup_or_classify(f, /*append_on_miss=*/false);
+        ASSERT_TRUE(a.has_value()) << "n=" << n;
+        EXPECT_EQ(a->class_id, b.class_id) << "n=" << n;
+        EXPECT_EQ(a->source, b.source) << "n=" << n;
+        EXPECT_TRUE(a->known) << "n=" << n;
+        EXPECT_TRUE(b.known) << "n=" << n;
+        EXPECT_EQ(a->representative, b.representative) << "n=" << n;
+        EXPECT_EQ(a->to_representative, b.to_representative) << "n=" << n;
+        sources.insert(b.source);
+      }
+    }
+    const std::set<LookupSource> expected =
+        n <= 4 ? std::set<LookupSource>{LookupSource::kTable}
+               : std::set<LookupSource>{LookupSource::kHotCache, LookupSource::kMemo,
+                                        LookupSource::kIndex};
+    EXPECT_EQ(sources, expected) << "n=" << n;
+
+    // A class the store does not hold: lookup() misses and lookup_or_classify
+    // classifies it live. A repeat stays unknown through both, because a
+    // transient miss fills no slot, cache entry or memo entry.
+    ClassStore empty{n};
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      EXPECT_FALSE(empty.lookup(funcs.front()).has_value()) << "n=" << n;
+      const StoreLookupResult live =
+          empty.lookup_or_classify(funcs.front(), /*append_on_miss=*/false);
+      EXPECT_EQ(live.source, LookupSource::kLive) << "n=" << n;
+      EXPECT_FALSE(live.known) << "n=" << n;
+      EXPECT_EQ(live.class_id, 0u) << "n=" << n;
+    }
+    EXPECT_EQ(empty.num_table_hits(), 0u) << "n=" << n;
+    EXPECT_EQ(empty.hot_cache_stats().entries, 0u) << "n=" << n;
+    EXPECT_EQ(empty.memo_entries(), 0u) << "n=" << n;
+    EXPECT_EQ(empty.num_records(), 0u) << "n=" << n;
+  }
 }
 
 TEST(ClassStore, MemoAssistedLearningMatchesSequentialClassifier)

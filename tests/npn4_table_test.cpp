@@ -3,7 +3,7 @@
 /// the exhaustive orbit-walk oracle on canonical form, carry a valid
 /// witnessing transform, and index exactly the known class counts
 /// {1, 2, 4, 14, 222}; plus the golden-hash drift guard and the ClassStore
-/// table tier's bit-identity with a store built without it.
+/// table tier's bit-identity with the exhaustive classifier.
 
 #include "facet/npn/npn4_table.hpp"
 
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "facet/npn/exact_canon.hpp"
+#include "facet/npn/exact_classifier.hpp"
 #include "facet/npn/npn4_table_golden.hpp"
 #include "facet/npn/transform.hpp"
 #include "facet/store/class_store.hpp"
@@ -67,17 +68,16 @@ TEST(Npn4Table, ExhaustiveSubWidthsMatchWalkOracle)
 TEST(Npn4Table, ExactCanonicalDispatchesThroughTheTable)
 {
   // The public canonicalizer entry points must answer through the table for
-  // every width <= 4 — same canonical, valid witness — and agree with the
-  // pre-table search path kept for benchmarking.
+  // every width <= 4: same canonical, valid witness. The walk-oracle sweeps
+  // above check the table itself.
   std::mt19937_64 rng{0x4417ULL};
   for (int n = 0; n <= 4; ++n) {
     for (int i = 0; i < 200; ++i) {
       const TruthTable tt = tt_random(n, rng);
       const CanonResult fast = exact_npn_canonical_with_transform(tt);
-      const CanonResult search = exact_npn_canonical_search_with_transform(tt);
-      EXPECT_EQ(fast.canonical, search.canonical);
+      EXPECT_EQ(fast.canonical,
+                TruthTable::from_word(n, npn4_lookup(tt).canonical_word));
       EXPECT_EQ(exact_npn_canonical(tt), fast.canonical);
-      EXPECT_EQ(exact_npn_canonical_search(tt), fast.canonical);
       EXPECT_EQ(apply_transform(tt, fast.transform), fast.canonical);
     }
   }
@@ -115,29 +115,30 @@ std::vector<TruthTable> random_workload(int n, std::uint64_t seed, std::size_t c
   return funcs;
 }
 
-TEST(Npn4Store, TableTierIdsBitIdenticalToTableOffStore)
+TEST(Npn4Store, TableTierIdsBitIdenticalToExhaustiveClassifier)
 {
-  // The same workload learned by a table-on and a table-off store must
-  // allocate identical class ids — the table changes HOW a class resolves,
-  // never WHICH class it is.
+  // A workload learned through the table tier must allocate exactly the
+  // exhaustive classifier's ids, with the first member of each class as its
+  // representative — the table changes HOW a class resolves, never WHICH
+  // class it is.
   for (int n = 2; n <= 4; ++n) {
     const auto funcs = random_workload(n, 0x5173ULL + static_cast<std::uint64_t>(n), 400);
-    ClassStoreOptions table_off;
-    table_off.use_npn4_table = false;
-    ClassStore with_table{n};
-    ClassStore without_table{n, table_off};
-    for (const TruthTable& f : funcs) {
-      const StoreLookupResult a = with_table.lookup_or_classify(f, true);
-      const StoreLookupResult b = without_table.lookup_or_classify(f, true);
-      ASSERT_EQ(a.class_id, b.class_id) << "n=" << n;
-      ASSERT_EQ(a.representative, b.representative) << "n=" << n;
-      ASSERT_EQ(apply_transform(f, a.to_representative), a.representative) << "n=" << n;
+    const ClassificationResult expected = classify_exhaustive(funcs);
+    std::vector<std::size_t> first_member(expected.num_classes, funcs.size());
+    for (std::size_t i = funcs.size(); i-- > 0;) {
+      first_member[expected.class_of[i]] = i;
     }
-    EXPECT_EQ(with_table.num_classes(), without_table.num_classes());
-    EXPECT_GT(with_table.num_table_hits(), 0u);
-    EXPECT_EQ(with_table.num_canonicalizations(), 0u)
-        << "a width <= 4 store must never canonicalize with the table on";
-    EXPECT_EQ(without_table.num_table_hits(), 0u);
+    ClassStore store{n};
+    for (std::size_t i = 0; i < funcs.size(); ++i) {
+      const StoreLookupResult a = store.lookup_or_classify(funcs[i], true);
+      ASSERT_EQ(a.class_id, expected.class_of[i]) << "n=" << n;
+      ASSERT_EQ(a.representative, funcs[first_member[a.class_id]]) << "n=" << n;
+      ASSERT_EQ(apply_transform(funcs[i], a.to_representative), a.representative) << "n=" << n;
+    }
+    EXPECT_EQ(store.num_classes(), expected.num_classes);
+    EXPECT_GT(store.num_table_hits(), 0u);
+    EXPECT_EQ(store.num_canonicalizations(), 0u)
+        << "a width <= 4 store must never canonicalize";
   }
 }
 
@@ -165,22 +166,6 @@ TEST(Npn4Store, ExhaustiveWidth4StoreServesEveryQueryFromTheTable)
   }
   EXPECT_EQ(store.num_canonicalizations(), 0u);
   EXPECT_GT(store.num_table_hits(), 0u);
-}
-
-TEST(Npn4Store, TableOffStoreStillWorksAndNeverCountsTableHits)
-{
-  ClassStoreOptions table_off;
-  table_off.use_npn4_table = false;
-  const auto funcs = random_workload(4, 0x0ffULL, 64);
-  StoreBuildOptions build_options;
-  build_options.store = table_off;
-  ClassStore store = build_class_store(funcs, build_options);
-  for (const TruthTable& f : funcs) {
-    const auto result = store.lookup(f);
-    ASSERT_TRUE(result.has_value());
-    EXPECT_NE(result->source, LookupSource::kTable);
-  }
-  EXPECT_EQ(store.num_table_hits(), 0u);
 }
 
 TEST(Npn4Store, TransientMissesStayUnknownThroughTheTableTier)

@@ -660,22 +660,21 @@ TEST(ServeProtocolEdge, SlowRequestThresholdLogsStructuredLines)
 TEST(ServeProtocolEdge, MemoHitsAppearInSrcAndStats)
 {
   // Hot cache off, so an equivalent repeat falls through to the semiclass
-  // memo instead of the exact-table cache; NPN4 table off, so a width-4
-  // store still exercises the memo and index tiers at all.
+  // memo instead of the exact-table cache; width 5, because the NPN4 table
+  // answers width <= 4 before the memo and index tiers.
   std::mt19937_64 rng{0xed33ULL};
   std::vector<TruthTable> funcs;
   for (std::size_t i = 0; i < 20; ++i) {
-    funcs.push_back(tt_random(4, rng));
+    funcs.push_back(tt_random(5, rng));
   }
   StoreBuildOptions build_options;
   build_options.store.hot_cache_capacity = 0;
-  build_options.store.use_npn4_table = false;
   ClassStore store = build_class_store(funcs, build_options);
 
   const TruthTable rep = store.records().front().representative;
   TruthTable variant = rep;
   do {
-    variant = apply_transform(rep, NpnTransform::random(4, rng));
+    variant = apply_transform(rep, NpnTransform::random(5, rng));
   } while (variant == rep);
 
   Session session{store};

@@ -253,14 +253,13 @@ TEST(StoreSegment, Version1FilesStillLoadAndMmap)
 
 TEST(StoreSegment, FlushDeltaSealsTheMemtableIntoASegment)
 {
-  const int n = 4;
+  // Width 5, memo off: the NPN4 table tier (width <= 4) and the semiclass
+  // memo would answer the post-flush repeats before the index, and this
+  // test exercises the delta tier directly.
+  const int n = 5;
   const auto funcs = make_npn_workload(n, 15, 2, 0x5e604ULL);
-  // The semiclass memo (and, at width 4, the NPN4 table tier) would answer
-  // the post-flush repeats before the index; disable both so this test
-  // exercises the delta tier directly.
   StoreBuildOptions build_options;
   build_options.store.semiclass_memo_capacity = 0;
-  build_options.store.use_npn4_table = false;
   ClassStore store = build_class_store(funcs, build_options);
   const auto novel = novel_functions(store, 3, 0x5e605ULL);
 
