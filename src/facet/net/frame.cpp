@@ -220,22 +220,8 @@ bool recv_exact(int fd, char* data, std::size_t size)
 
 std::optional<FrameResponse> frame_round_trip(const Socket& socket, std::string_view request)
 {
-#if defined(MSG_NOSIGNAL)
-  constexpr int kSendFlags = MSG_NOSIGNAL;  // a vanished server is an error, not SIGPIPE
-#else
-  constexpr int kSendFlags = 0;
-#endif
-  std::size_t sent = 0;
-  while (sent < request.size()) {
-    const ssize_t n =
-        ::send(socket.fd(), request.data() + sent, request.size() - sent, kSendFlags);
-    if (n < 0 && errno == EINTR) {
-      continue;
-    }
-    if (n <= 0) {
-      return std::nullopt;
-    }
-    sent += static_cast<std::size_t>(n);
+  if (!send_all(socket.fd(), request)) {
+    return std::nullopt;
   }
   char head[kFrameHeaderBytes];
   if (!recv_exact(socket.fd(), head, sizeof head)) {

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <exception>
 #include <iostream>
-#include <ostream>
 #include <string>
 #include <utility>
 
-#include "facet/net/fd_stream.hpp"
 #include "facet/net/frame.hpp"
 #include "facet/obs/clock.hpp"
 #include "facet/obs/registry.hpp"
@@ -122,9 +120,8 @@ ServeOptions ServeServer::session_options()
 }
 
 /// One reactor-owned connection: the shared ServeDispatcher behind a v2
-/// FrameSession. Methods run on one worker at a time (the reactor's
-/// dispatch contract); the dispatcher's counters sync into the server's
-/// aggregate.
+/// FrameSession. Every call runs on the thread of the loop that owns the
+/// connection; the dispatcher's counters sync into the server's aggregate.
 class ServeConnection final : public ReactorConnection {
  public:
   explicit ServeConnection(ServeServer* server)
@@ -186,10 +183,9 @@ void ServeServer::start()
   if (::pipe(wake_pipe_) != 0) {
     throw NetError{"cannot create shutdown pipe"};
   }
-  // send() passes MSG_NOSIGNAL where it exists (Linux), but macOS has
-  // neither it nor a portable per-socket equivalent here — a peer that
-  // vanishes mid-response must surface as a write error, never as a
-  // process-killing SIGPIPE.
+  // send_all passes MSG_NOSIGNAL; ignoring SIGPIPE as well keeps any other
+  // write to a vanished peer in this process a write error, never a
+  // process-killing signal.
   std::signal(SIGPIPE, SIG_IGN);
   // Size the accept backlog to the connection cap: a reactor fleet connects
   // in bursts far larger than the default 64, and an overflowing accept
@@ -288,9 +284,7 @@ void ServeServer::accept_loop()
         encode_response(reply, 0, FrameStatus::kAtCapacity,
                         "server at capacity (" + std::to_string(options_.max_connections) +
                             " connections)");
-        FdStreamBuf buf{connection.fd()};
-        std::ostream out{&buf};
-        out << reply << std::flush;
+        (void)send_all(connection.fd(), reply);
         continue;  // connection closes on scope exit
       }
       ++stats_.connections_active;
@@ -324,8 +318,8 @@ void ServeServer::wait()
   }
 
   // Drain: the reactor shuts down every connection's read side; each wakes
-  // with EOF, its worker writes any in-flight response, and on_close
-  // flushes appends to the delta log — stop() returns only when the
+  // with EOF, its loop writes any in-flight response, and on_close flushes
+  // appends to the delta log — stop() returns only when every loop's
   // connection table is empty.
   if (reactor_) {
     reactor_->stop();

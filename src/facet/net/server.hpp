@@ -5,11 +5,12 @@
 /// `facet_cli serve --listen HOST:PORT [--unix PATH]` runs a ServeServer:
 /// a TCP and/or Unix-domain listener whose accepted connections speak the
 /// protocol v2 binary frames of net/frame.hpp against ONE shared store.
-/// Connections are owned by an epoll/poll Reactor (net/reactor.hpp): an
-/// idle connection costs one poller registration instead of a thread, and
-/// a fixed worker pool (`--workers`, default hardware_concurrency) runs
-/// the protocol sessions — thousands of mostly-idle clients share a pool
-/// sized to the machine. The server carries NO store lock of its own —
+/// Connections are owned by the Reactor (net/reactor.hpp): `--workers`
+/// epoll loops (default hardware_concurrency), each running its
+/// connections' frames to completion on its own thread. An idle connection
+/// costs one epoll registration instead of a thread, so thousands of
+/// mostly-idle clients share a few loops. Serving needs Linux (epoll). The
+/// server carries NO store lock of its own —
 /// synchronization lives inside the store layer (class_store.hpp,
 /// store_router.hpp):
 ///
@@ -84,7 +85,8 @@ struct ServeServerOptions {
   /// timeout.
   std::chrono::milliseconds idle_timeout{0};
 
-  /// Worker threads running protocol sessions; 0 = hardware_concurrency.
+  /// Event loops (one thread each) running the connections;
+  /// 0 = hardware_concurrency.
   std::size_t workers = 0;
 
   /// Sessions log any request frame slower than this many microseconds to
@@ -139,7 +141,8 @@ class ServeServer {
   void start();
 
   /// Blocks until a shutdown request, then drains: stops accepting, wakes
-  /// every in-flight connection, joins workers, runs the final flush.
+  /// every in-flight connection, joins the event loops, runs the final
+  /// flush.
   void wait();
 
   /// start() + wait().
@@ -175,7 +178,7 @@ class ServeServer {
   void accept_loop();
   [[nodiscard]] ServeOptions session_options();
   /// ServeConnection::on_close callback: books the finished connection
-  /// into the stats/gauges and nudges the compactor. Worker-thread safe.
+  /// into the stats/gauges and nudges the compactor. Safe from any loop.
   void on_connection_closed(std::uint64_t accepted_ticks) noexcept;
 
   void compactor_loop();
@@ -207,7 +210,7 @@ class ServeServer {
   std::thread accept_thread_;
   std::thread compactor_thread_;
   std::thread reload_thread_;
-  /// Owns every accepted connection; created in start() (its worker count
+  /// Owns every accepted connection; created in start() (its loop count
   /// depends on the resolved options).
   std::unique_ptr<Reactor> reactor_;
 

@@ -8,9 +8,11 @@
 #include <netdb.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
+#ifndef MSG_NOSIGNAL
+#define MSG_NOSIGNAL 0  // macOS: no per-send flag; SIGPIPE must be ignored process-wide
+#endif
 #else
 #define FACET_HAS_SOCKETS 0
 #endif
@@ -144,12 +146,6 @@ Socket listen_unix(const std::string& path, int backlog)
   return sock;
 }
 
-Socket accept_connection(const Socket& listener)
-{
-  int error = 0;
-  return accept_connection(listener, error);
-}
-
 Socket accept_connection(const Socket& listener, int& error)
 {
   error = 0;
@@ -170,15 +166,19 @@ Socket accept_connection(const Socket& listener, int& error)
   return Socket{fd};
 }
 
-void set_receive_timeout(const Socket& socket, std::chrono::milliseconds timeout)
+bool send_all(int fd, std::string_view data) noexcept
 {
-  if (timeout.count() <= 0) {
-    return;
+  while (!data.empty()) {
+    const ssize_t n = ::send(fd, data.data(), data.size(), MSG_NOSIGNAL);
+    if (n > 0) {
+      data.remove_prefix(static_cast<std::size_t>(n));
+    } else if (n < 0 && errno == EINTR) {
+      continue;
+    } else {
+      return false;
+    }
   }
-  timeval tv{};
-  tv.tv_sec = static_cast<time_t>(timeout.count() / 1000);
-  tv.tv_usec = static_cast<suseconds_t>((timeout.count() % 1000) * 1000);
-  ::setsockopt(socket.fd(), SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  return true;
 }
 
 Socket connect_tcp(const TcpEndpoint& endpoint)
@@ -258,17 +258,15 @@ Socket listen_unix(const std::string&, int)
   throw_unsupported();
 }
 
-Socket accept_connection(const Socket&)
-{
-  throw_unsupported();
-}
-
 Socket accept_connection(const Socket&, int&)
 {
   throw_unsupported();
 }
 
-void set_receive_timeout(const Socket&, std::chrono::milliseconds) {}
+bool send_all(int, std::string_view) noexcept
+{
+  return false;
+}
 
 Socket connect_tcp(const TcpEndpoint&)
 {

@@ -10,10 +10,10 @@
 
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace facet {
 
@@ -72,20 +72,16 @@ struct TcpEndpoint {
 /// Accepts one connection from a listener; blocks. Transient failures —
 /// EINTR, ECONNABORTED, and fd/buffer exhaustion (EMFILE/ENFILE/ENOBUFS/
 /// ENOMEM, which a connection burst can trigger and a retry can recover
-/// from) — return an invalid Socket so the accept loop retries; anything
-/// else throws NetError.
-[[nodiscard]] Socket accept_connection(const Socket& listener);
-
-/// accept_connection that also reports WHICH transient errno made it return
-/// an invalid Socket (0 on success). The accept loop backs off only on fd /
-/// buffer pressure (EMFILE, ENFILE, ENOBUFS, ENOMEM) and retries
-/// immediately on EINTR / ECONNABORTED.
+/// from) — return an invalid Socket and report the errno in `error` (0 on
+/// success), so the accept loop can back off on fd / buffer pressure and
+/// retry immediately on EINTR / ECONNABORTED; anything else throws
+/// NetError.
 [[nodiscard]] Socket accept_connection(const Socket& listener, int& error);
 
-/// Arms SO_RCVTIMEO: a read that sees no bytes for `timeout` fails, which
-/// the serve session treats as end of input (flush + exit). <= 0 is a
-/// no-op.
-void set_receive_timeout(const Socket& socket, std::chrono::milliseconds timeout);
+/// Blocking full write of `data` to a socket: retries EINTR and short
+/// writes, never raises SIGPIPE. False once the peer is gone or a send
+/// makes no progress within the socket's SO_SNDTIMEO.
+[[nodiscard]] bool send_all(int fd, std::string_view data) noexcept;
 
 /// Client-side connects, used by tests, the bench and the CI smoke script.
 [[nodiscard]] Socket connect_tcp(const TcpEndpoint& endpoint);

@@ -2,17 +2,26 @@
 /// (lookup vs append policy, stats/metrics/quit), and the robustness matrix
 /// the wire demands — truncated frames, oversized length prefixes, garbage
 /// verb ids, bad counts, bad magic — each answering a canonical err frame
-/// and either continuing or closing, never hanging. Ends on a live server
+/// and either continuing or closing, never hanging. Then a live server
 /// port: a frame client answered bit-identically, a text client refused.
+/// Ends on send_all, the one write primitive under every socket write:
+/// short writes and a dead peer.
 
 #include "facet/net/frame.hpp"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <sys/socket.h>
+#include <unistd.h>
+#endif
 
 #include "facet/engine/batch_engine.hpp"
 #include "facet/net/server.hpp"
@@ -379,6 +388,70 @@ TEST(Frame, NonFrameFirstByteAnswersBadFrameAndCloses)
   std::remove(path.c_str());
 }
 
+#if defined(__unix__) || defined(__APPLE__)
+
+/// Both ends of an AF_UNIX stream socketpair, closed on scope exit.
+struct SocketPair {
+  int a = -1;
+  int b = -1;
+  SocketPair()
+  {
+    int fds[2];
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    a = fds[0];
+    b = fds[1];
+  }
+  ~SocketPair()
+  {
+    for (const int fd : {a, b}) {
+      if (fd >= 0) {
+        ::close(fd);
+      }
+    }
+  }
+};
+
+TEST(Frame, SendAllIntoAClosedPeerFailsWithoutSigpipe)
+{
+  SocketPair pair;
+  ::close(pair.b);  // peer gone before we ever write
+  pair.b = -1;
+  // The dead peer answers EPIPE, which must surface as a false return —
+  // never as a SIGPIPE that kills the process.
+  const std::string payload(64 * 1024, 'y');
+  EXPECT_FALSE(send_all(pair.a, payload));
+}
+
+TEST(Frame, SendAllDeliversEverythingThroughShortWrites)
+{
+  SocketPair pair;
+  // Shrink the send buffer so one large write cannot complete in a single
+  // send(2): send_all must loop over partial progress while the reader
+  // drains the other end.
+  const int sndbuf = 4096;
+  ::setsockopt(pair.a, SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof(sndbuf));
+
+  const std::string payload(512 * 1024, 'z');
+  std::string received;
+  std::thread reader{[&] {
+    char chunk[8192];
+    for (;;) {
+      const ssize_t n = ::read(pair.b, chunk, sizeof chunk);
+      if (n <= 0) {
+        break;
+      }
+      received.append(chunk, static_cast<std::size_t>(n));
+      std::this_thread::sleep_for(std::chrono::microseconds{100});
+    }
+  }};
+  EXPECT_TRUE(send_all(pair.a, payload));
+  ::shutdown(pair.a, SHUT_WR);
+  reader.join();
+  EXPECT_EQ(received.size(), payload.size());
+  EXPECT_EQ(received, payload);
+}
+
+#endif
 
 }  // namespace
 }  // namespace facet

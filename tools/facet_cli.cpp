@@ -745,9 +745,9 @@ void print_usage()
                "              [--reload-poll-ms T] [--slow-us T] [--metrics-json FILE]\n"
                "              (socket server speaking protocol v2 frames — lookup | append\n"
                "               | stats | metrics | quit — over one store, or one store per\n"
-               "               width with --route; an epoll reactor owns every connection\n"
-               "               and a fixed worker pool (--workers, default = hardware\n"
-               "               threads) runs the sessions; port 0 binds an ephemeral port,\n"
+               "               width with --route; --workers epoll loops (default =\n"
+               "               hardware threads; Linux only) each run their connections'\n"
+               "               frames to completion; port 0 binds an ephemeral port,\n"
                "               reported on stderr; appends flush to the index's delta log\n"
                "               when a session ends;\n"
                "               --readonly refuses appends;\n"
