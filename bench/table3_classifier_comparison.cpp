@@ -29,7 +29,6 @@
 #include "facet/data/dataset.hpp"
 #include "facet/engine/batch_engine.hpp"
 #include "facet/npn/codesign.hpp"
-#include "facet/npn/npn4_table.hpp"
 #include "facet/npn/exact_classifier.hpp"
 #include "facet/npn/fp_classifier.hpp"
 #include "facet/npn/hierarchical.hpp"
@@ -80,16 +79,10 @@ int main(int argc, char** argv)
   parallel_table.set_header(
       {"n", "#Func", "-6 tP", "-6 x", "-7 tP", "-7 x", "-11 tP", "-11 x", "Ours tP", "Ours x"});
 
-  std::uint64_t total_table_lookups = 0;
-
   for (int n = min_n; n <= max_n; ++n) {
     CircuitDatasetOptions options;
     options.max_functions = max_funcs;
     const auto funcs = make_circuit_dataset(n, options);
-    // Widths <= 4 resolve exact canonicalization through the baked NPN4 norm
-    // table; report how much of the row it carried.
-    const std::uint64_t table_lookups_before = npn4_table_lookups();
-
     const auto exact = classify_exact(funcs);
     const Timed semi = timed([&] { return classify_semi_canonical(funcs); });
     const Timed hier = timed([&] { return classify_hierarchical(funcs); });
@@ -138,18 +131,13 @@ int main(int argc, char** argv)
                               AsciiTable::to_cell(codesign_p.seconds), speedup(codesign, codesign_p),
                               AsciiTable::to_cell(ours_p.seconds), speedup(ours, ours_p)});
     }
-    const std::uint64_t row_table_lookups = npn4_table_lookups() - table_lookups_before;
-    total_table_lookups += row_table_lookups;
-    std::cerr << "  [n=" << n << " done, " << funcs.size() << " functions, "
-              << row_table_lookups << " npn4 table lookup(s)]\n";
+    std::cerr << "  [n=" << n << " done, " << funcs.size() << " functions]\n";
   }
 
   table.render(std::cout);
   std::cout << "\nExpected shape (paper Table III): -6 is fastest but far above exact; -7 in between;\n"
                "-11 near exact but slower with n; Ours matches exact for small n, slightly below for\n"
                "large n (signature collisions), with runtime that scales with set size only.\n";
-  std::cout << "\nNPN4 table tier: " << total_table_lookups
-            << " O(1) table lookup(s) served exact canonicalization at n <= 4.\n";
   if (run_engine) {
     std::cout << "\nBatch engine (" << jobs << " thread(s), tP = parallel time, x = speedup; class\n"
                  "counts verified identical to the sequential runs):\n\n";

@@ -319,7 +319,6 @@ FrameStep FrameSession::consume(std::string& in, std::string& out)
   if (offset > 0) {
     in.erase(0, offset);
   }
-  dispatcher_->sync_aggregate();
   return step;
 }
 
@@ -396,22 +395,33 @@ FrameStep FrameSession::handle_batch(const FrameHeader& header,
   std::string body;
   body.reserve(4 + static_cast<std::size_t>(count) * 8);
   append_u32(body, count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const TruthTable query = decode_operand(width, payload + 4 + i * operand_bytes);
-    const std::optional<StoreLookupResult> result =
-        dispatcher_->lookup_binary(*store, query, append);
-    if (result.has_value()) {
-      append_u32(body, static_cast<std::uint32_t>(result->class_id));
-      body.push_back(static_cast<char>(result->known ? 1 : 0));
-      body.push_back(static_cast<char>(frame_src(result->source)));
-    } else {
-      append_u32(body, kFrameMissClassId);
+  // The frame's answers are tallied here and counted into the aggregate
+  // once, also when a later operand throws: an appended record is never
+  // left uncounted.
+  SourceCounts answered{};
+  try {
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const TruthTable query = decode_operand(width, payload + 4 + i * operand_bytes);
+      const std::optional<StoreLookupResult> result =
+          dispatcher_->lookup_binary(*store, query, append);
+      if (result.has_value()) {
+        ++answered[static_cast<std::size_t>(result->source)];
+        append_u32(body, static_cast<std::uint32_t>(result->class_id));
+        body.push_back(static_cast<char>(result->known ? 1 : 0));
+        body.push_back(static_cast<char>(frame_src(result->source)));
+      } else {
+        append_u32(body, kFrameMissClassId);
+        body.push_back(0);
+        body.push_back(static_cast<char>(FrameSrc::kMiss));
+      }
       body.push_back(0);
-      body.push_back(static_cast<char>(FrameSrc::kMiss));
+      body.push_back(0);
     }
-    body.push_back(0);
-    body.push_back(0);
+  } catch (...) {
+    dispatcher_->count_answers(width, answered, append);
+    throw;
   }
+  dispatcher_->count_answers(width, answered, append);
   if (count > 0) {
     // src byte of the last 8-byte record (u32 id, u8 known, u8 src, u16)
     last_src_ = frame_src_name(static_cast<std::uint8_t>(body[body.size() - 3]));

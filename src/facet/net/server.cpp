@@ -121,7 +121,7 @@ ServeOptions ServeServer::session_options()
 
 /// One reactor-owned connection: the shared ServeDispatcher behind a v2
 /// FrameSession. Every call runs on the thread of the loop that owns the
-/// connection; the dispatcher's counters sync into the server's aggregate.
+/// connection; the dispatcher counts straight into the server's aggregate.
 class ServeConnection final : public ReactorConnection {
  public:
   explicit ServeConnection(ServeServer* server)
@@ -141,7 +141,6 @@ class ServeConnection final : public ReactorConnection {
   {
     try {
       dispatcher_.flush_on_exit();
-      dispatcher_.sync_aggregate();
     } catch (...) {
       // flush failure must not escape the reactor's close path; the final
       // server-wide flush retries on shutdown

@@ -1,7 +1,6 @@
 #include "facet/npn/npn4_table.hpp"
 
 #include <array>
-#include <atomic>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -30,8 +29,6 @@ constexpr std::array<std::array<std::uint8_t, 4>, 24> kPerm4 = {{
     {2, 0, 1, 3}, {2, 0, 3, 1}, {2, 1, 0, 3}, {2, 1, 3, 0}, {2, 3, 0, 1}, {2, 3, 1, 0},
     {3, 0, 1, 2}, {3, 0, 2, 1}, {3, 1, 0, 2}, {3, 1, 2, 0}, {3, 2, 0, 1}, {3, 2, 1, 0},
 }};
-
-std::atomic<std::uint64_t> g_lookups{0};
 
 /// Does the 16-bit table depend on variable `v`?
 bool depends_on16(std::uint16_t f, int v)
@@ -91,7 +88,6 @@ Npn4Result npn4_lookup(const TruthTable& f)
 {
   const int n = f.num_vars();
   require_table_width(n, "npn4_lookup");
-  g_lookups.fetch_add(1, std::memory_order_relaxed);
 
   // Replicate to 16 bits: each doubling adds one dummy top variable, so the
   // word indexes the full-width table without changing the orbit structure.
@@ -172,7 +168,5 @@ TruthTable npn4_class_canonical(int num_vars, std::size_t class_index)
 }
 
 std::uint64_t npn4_table_hash() { return kNpn4TableGeneratedHash; }
-
-std::uint64_t npn4_table_lookups() { return g_lookups.load(std::memory_order_relaxed); }
 
 }  // namespace facet

@@ -65,9 +65,4 @@ struct Npn4Result {
 /// library would not have compiled; exposed for runtime re-verification.
 [[nodiscard]] std::uint64_t npn4_table_hash();
 
-/// Process-global count of npn4_lookup calls (relaxed; monotonic). Lets
-/// the CLI and Table III benchmark report how much width <= 4 traffic
-/// resolved without ever touching a canonicalizer.
-[[nodiscard]] std::uint64_t npn4_table_lookups();
-
 }  // namespace facet

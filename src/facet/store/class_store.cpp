@@ -116,7 +116,6 @@ ClassStore::ClassStore(ClassStore&& other) noexcept
       memo_bypassed_{other.memo_bypassed_.load(std::memory_order_relaxed)},
       canonicalizations_{other.canonicalizations_.load(std::memory_order_relaxed)},
       npn4_{std::move(other.npn4_)},
-      table_hits_{other.table_hits_.load(std::memory_order_relaxed)},
       miss_records_{std::move(other.miss_records_)},
       next_class_id_{other.next_class_id_.load(std::memory_order_relaxed)},
       compactions_{other.compactions_.load(std::memory_order_relaxed)},
@@ -141,7 +140,6 @@ ClassStore& ClassStore::operator=(ClassStore&& other) noexcept
   canonicalizations_.store(other.canonicalizations_.load(std::memory_order_relaxed),
                            std::memory_order_relaxed);
   npn4_ = std::move(other.npn4_);
-  table_hits_.store(other.table_hits_.load(std::memory_order_relaxed), std::memory_order_relaxed);
   miss_records_ = std::move(other.miss_records_);
   next_class_id_.store(other.next_class_id_.load(std::memory_order_relaxed),
                        std::memory_order_relaxed);
@@ -794,7 +792,6 @@ std::optional<StoreLookupResult> ClassStore::fast_front(const TruthTable& f,
     const Npn4Result entry = npn4_lookup(f);
     if (const StoreRecord* slot =
             npn4_->slots[entry.class_index].load(std::memory_order_acquire)) {
-      table_hits_.fetch_add(1, std::memory_order_relaxed);
       return make_result(*slot, entry.transform, LookupSource::kTable);
     }
     table = entry;
@@ -953,11 +950,7 @@ std::optional<StoreLookupResult> ClassStore::resolve(const TruthTable& f,
   // canonicalization — and fills the class's slot, so every later query is
   // one array load.
   const auto hit = [&](const StoreRecord& record) {
-    LookupSource source = LookupSource::kIndex;
-    if (npn4_class != nullptr) {
-      table_hits_.fetch_add(1, std::memory_order_relaxed);
-      source = LookupSource::kTable;
-    }
+    const LookupSource source = npn4_class != nullptr ? LookupSource::kTable : LookupSource::kIndex;
     std::optional<StoreLookupResult> result = make_result(record, canon.transform, source);
     learn(f, record, *result, key, npn4_class);
     return result;

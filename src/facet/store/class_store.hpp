@@ -148,6 +148,10 @@ enum class LookupSource {
   kLive,      ///< canonicalized, unknown: classified live (fresh class id)
 };
 
+/// Number of LookupSource values; arrays indexed by a source use it.
+inline constexpr std::size_t kNumLookupSources =
+    static_cast<std::size_t>(LookupSource::kLive) + 1;
+
 /// Stable wire/CLI name of a lookup source: "cache", "memo", "table",
 /// "index" or "live".
 [[nodiscard]] const char* lookup_source_name(LookupSource source) noexcept;
@@ -449,15 +453,6 @@ class ClassStore {
     return memo_bypassed_.load(std::memory_order_relaxed);
   }
 
-  // -- NPN4 table tier -------------------------------------------------------
-
-  /// Lookups resolved by the NPN4 norm-table tier (LookupSource::kTable).
-  /// Always 0 on stores wider than 4 variables.
-  [[nodiscard]] std::uint64_t num_table_hits() const noexcept
-  {
-    return table_hits_.load(std::memory_order_relaxed);
-  }
-
  private:
   struct CacheEntry {
     std::uint32_t class_id = 0;
@@ -617,7 +612,6 @@ class ClassStore {
   /// Norm-table slots; non-null iff num_vars_ <= 4. unique_ptr so the store
   /// stays movable (slot atomics are not).
   std::unique_ptr<Npn4Slots> npn4_;
-  mutable std::atomic<std::uint64_t> table_hits_{0};
   /// Live-transient classes (non-appending misses), keyed by canonical form.
   /// Never visible to find_canonical() or the hot cache, so the batch
   /// engine's store keys stay consistent. Gate holders only. mutable (like

@@ -1,5 +1,7 @@
 #include "facet/store/serve.hpp"
 
+#include <array>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -8,18 +10,21 @@
 
 namespace facet {
 
+std::uint64_t ServeWidthStats::lookups() const noexcept
+{
+  std::uint64_t sum = 0;
+  for (const std::uint64_t count : source) {
+    sum += count;
+  }
+  return sum;
+}
+
 ServeAggregateSnapshot ServeAggregateStats::snapshot() const noexcept
 {
   ServeAggregateSnapshot s;
   s.connections_active = connections_active.load(std::memory_order_relaxed);
   s.connections_total = connections_total.load(std::memory_order_relaxed);
   s.requests = requests.load(std::memory_order_relaxed);
-  s.lookups = lookups.load(std::memory_order_relaxed);
-  s.cache_hits = cache_hits.load(std::memory_order_relaxed);
-  s.memo_hits = memo_hits.load(std::memory_order_relaxed);
-  s.table_hits = table_hits.load(std::memory_order_relaxed);
-  s.index_hits = index_hits.load(std::memory_order_relaxed);
-  s.live = live.load(std::memory_order_relaxed);
   s.errors = errors.load(std::memory_order_relaxed);
   s.flushed_records = flushed_records.load(std::memory_order_relaxed);
   s.compactions = compactions.load(std::memory_order_relaxed);
@@ -28,41 +33,29 @@ ServeAggregateSnapshot ServeAggregateStats::snapshot() const noexcept
   s.compacted_bytes = compacted_bytes.load(std::memory_order_relaxed);
   s.last_compaction_ms = last_compaction_ms.load(std::memory_order_relaxed);
   for (std::size_t n = 0; n < s.width.size(); ++n) {
-    s.width[n].lookups = width[n].lookups.load(std::memory_order_relaxed);
-    s.width[n].cache_hits = width[n].cache_hits.load(std::memory_order_relaxed);
-    s.width[n].memo_hits = width[n].memo_hits.load(std::memory_order_relaxed);
-    s.width[n].table_hits = width[n].table_hits.load(std::memory_order_relaxed);
-    s.width[n].index_hits = width[n].index_hits.load(std::memory_order_relaxed);
-    s.width[n].live = width[n].live.load(std::memory_order_relaxed);
-    s.width[n].appended = width[n].appended.load(std::memory_order_relaxed);
+    ServeWidthStats& row = s.width[n];
+    for (std::size_t src = 0; src < kNumLookupSources; ++src) {
+      row.source[src] = width[n].source[src].load(std::memory_order_relaxed);
+      s.total.source[src] += row.source[src];
+    }
+    row.appended = width[n].appended.load(std::memory_order_relaxed);
+    s.total.appended += row.appended;
   }
   return s;
 }
 
 namespace {
 
-/// Bumps the per-source counter of any counter block exposing
-/// cache_hits/memo_hits/index_hits/live atomics (ServeCounters,
-/// ServeWidthCounters).
-template <typename Counters>
-void count_source(Counters& stats, LookupSource source)
+/// `stats` field names of the per-source counts, indexed by LookupSource.
+constexpr std::array<const char*, kNumLookupSources> kSourceFields{
+    "cache_hits", "memo_hits", "table_hits", "index_hits", "live"};
+
+/// Writes ` lookups=<k> cache_hits=<h> ... live=<l>` for one row.
+void write_lookup_fields(std::ostream& out, const ServeWidthStats& row)
 {
-  switch (source) {
-    case LookupSource::kHotCache:
-      stats.cache_hits.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case LookupSource::kMemo:
-      stats.memo_hits.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case LookupSource::kTable:
-      stats.table_hits.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case LookupSource::kIndex:
-      stats.index_hits.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case LookupSource::kLive:
-      stats.live.fetch_add(1, std::memory_order_relaxed);
-      break;
+  out << " lookups=" << row.lookups();
+  for (std::size_t src = 0; src < kNumLookupSources; ++src) {
+    out << ' ' << kSourceFields[src] << '=' << row.source[src];
   }
 }
 
@@ -111,40 +104,33 @@ ClassStore* ServeDispatcher::store_for_width(int width) noexcept
 
 std::optional<StoreLookupResult> ServeDispatcher::lookup_binary(ClassStore& store,
                                                                 const TruthTable& query,
-                                                                bool append)
+                                                                bool append) const
 {
-  StoreLookupResult result;
   if (!append || options_.readonly) {
     // Per-request readonly: the pure gate-free read path, no live
     // classification — a protocol v2 `lookup` can never mutate the store.
-    const auto hit = store.lookup(query);
-    if (!hit.has_value()) {
-      return std::nullopt;
-    }
-    result = *hit;
-  } else {
-    result = store.lookup_or_classify(query, /*append_on_miss=*/true);
+    return store.lookup(query);
   }
-  count_source(stats_, result.source);
-  stats_.lookups.fetch_add(1, std::memory_order_relaxed);
-  count_width(store.num_vars(), result, append && !options_.readonly);
-  return result;
+  return store.lookup_or_classify(query, /*append_on_miss=*/true);
 }
 
-/// Bumps the aggregate's per-width row for one answered lookup (the
-/// `stats` width rows). Direct relaxed increments — no sync step.
-/// `append_policy` is the effective per-request append policy: a live
-/// answer under it is exactly an appended record.
-void ServeDispatcher::count_width(int width, const StoreLookupResult& result, bool append_policy)
+/// Adds one frame's answers to the aggregate's width row (the `stats` width
+/// rows, whose sums are the aggregate totals): one relaxed add per source
+/// that answered, plus the appended records.
+void ServeDispatcher::count_answers(int width, const SourceCounts& answered, bool append) noexcept
 {
   if (width < 0 || width > kMaxVars) {
     return;
   }
   ServeWidthCounters& row = options_.aggregate->width[static_cast<std::size_t>(width)];
-  row.lookups.fetch_add(1, std::memory_order_relaxed);
-  count_source(row, result.source);
-  if (result.source == LookupSource::kLive && append_policy) {
-    row.appended.fetch_add(1, std::memory_order_relaxed);
+  for (std::size_t src = 0; src < kNumLookupSources; ++src) {
+    if (answered[src] != 0) {
+      row.source[src].fetch_add(answered[src], std::memory_order_relaxed);
+    }
+  }
+  const std::uint64_t live = answered[static_cast<std::size_t>(LookupSource::kLive)];
+  if (append && !options_.readonly && live != 0) {
+    row.appended.fetch_add(live, std::memory_order_relaxed);
   }
 }
 
@@ -156,7 +142,6 @@ std::vector<int> ServeDispatcher::served_widths() const
 
 std::string ServeDispatcher::stats_all_text()
 {
-  sync_aggregate();  // make this session's own numbers visible
   const ServeAggregateSnapshot agg = options_.aggregate->snapshot();
   const std::vector<int> widths = served_widths();
   // Process-wide request-latency quantiles over the lookup and append
@@ -169,10 +154,9 @@ std::string ServeDispatcher::stats_all_text()
   requests.merge(append_latency.snapshot());
   std::ostringstream out;
   out << "ok connections=" << agg.connections_active << " sessions=" << agg.connections_total
-      << " requests=" << agg.requests << " lookups=" << agg.lookups
-      << " cache_hits=" << agg.cache_hits << " memo_hits=" << agg.memo_hits
-      << " table_hits=" << agg.table_hits << " index_hits=" << agg.index_hits
-      << " live=" << agg.live << " errors=" << agg.errors
+      << " requests=" << agg.requests;
+  write_lookup_fields(out, agg.total);
+  out << " errors=" << agg.errors
       << " flushed=" << agg.flushed_records << " compactions=" << agg.compactions
       << " compacted_runs=" << agg.compacted_runs
       << " compacted_records=" << agg.compacted_records
@@ -185,10 +169,9 @@ std::string ServeDispatcher::stats_all_text()
   // many rows to read.
   for (const int width : widths) {
     const ServeWidthStats& row = agg.width[static_cast<std::size_t>(width)];
-    out << "ok width=" << width << " lookups=" << row.lookups
-        << " cache_hits=" << row.cache_hits << " memo_hits=" << row.memo_hits
-        << " table_hits=" << row.table_hits << " index_hits=" << row.index_hits
-        << " live=" << row.live << " appended=" << row.appended << "\n";
+    out << "ok width=" << width;
+    write_lookup_fields(out, row);
+    out << " appended=" << row.appended << "\n";
   }
   return out.str();
 }
@@ -245,37 +228,18 @@ std::size_t ServeDispatcher::flush_on_exit()
   } else if (!options_.dlog_path.empty()) {
     flushed += store_->flush_delta(options_.dlog_path);
   }
-  stats_.flushed.fetch_add(flushed, std::memory_order_relaxed);
+  options_.aggregate->flushed_records.fetch_add(flushed, std::memory_order_relaxed);
   return flushed;
 }
 
 void ServeDispatcher::count_request() noexcept
 {
-  stats_.requests.fetch_add(1, std::memory_order_relaxed);
+  options_.aggregate->requests.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ServeDispatcher::count_error() noexcept
 {
-  stats_.errors.fetch_add(1, std::memory_order_relaxed);
-}
-
-/// Adds this session's not-yet-reported counter increments to the shared
-/// aggregate (atomic, no lock), so `stats` on any connection sees
-/// every session's traffic.
-void ServeDispatcher::sync_aggregate()
-{
-  const ServeStats stats = stats_.snapshot();
-  ServeAggregateStats& agg = *options_.aggregate;
-  agg.requests += stats.requests - synced_.requests;
-  agg.lookups += stats.lookups - synced_.lookups;
-  agg.cache_hits += stats.cache_hits - synced_.cache_hits;
-  agg.memo_hits += stats.memo_hits - synced_.memo_hits;
-  agg.table_hits += stats.table_hits - synced_.table_hits;
-  agg.index_hits += stats.index_hits - synced_.index_hits;
-  agg.live += stats.live - synced_.live;
-  agg.errors += stats.errors - synced_.errors;
-  agg.flushed_records += stats.flushed - synced_.flushed;
-  synced_ = stats;
+  options_.aggregate->errors.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace facet

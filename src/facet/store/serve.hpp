@@ -1,6 +1,6 @@
 /// \file serve.hpp
 /// \brief The transport-independent core of a serve session: verb semantics,
-///        per-session counters and the process-wide aggregate.
+///        the process-wide counter aggregate.
 ///
 /// `facet_cli serve --listen/--unix` (net/server.hpp) runs one
 /// ServeDispatcher per accepted connection behind a protocol v2
@@ -50,8 +50,12 @@
 /// session thread; exact canonicalization — the expensive step of a
 /// genuinely novel query — runs before any store gate is involved, and
 /// table/memo hits skip it entirely.
-/// Session counters and the process-wide aggregate are atomics; `stats`
-/// snapshots them with relaxed loads.
+///
+/// Counting goes straight to the server's aggregate (ServeAggregateStats,
+/// atomics): one request add per frame, and one add per answering source
+/// (plus appended) into the frame's width row, once per frame — a lookup
+/// costs no counter write of its own. `stats` snapshots the aggregate with
+/// relaxed loads and derives the lookup totals from the width rows.
 
 #pragma once
 
@@ -73,73 +77,25 @@ namespace obs {
 class LatencyHistogram;
 }  // namespace obs
 
-/// Plain-value session counters — the snapshot type of the atomic counter
-/// block below.
-struct ServeStats {
-  std::uint64_t requests = 0;    ///< request frames
-  std::uint64_t lookups = 0;     ///< lookup/append operands answered
-  std::uint64_t cache_hits = 0;  ///< answered from the hot cache
-  std::uint64_t memo_hits = 0;   ///< answered from the semiclass memo
-  std::uint64_t table_hits = 0;  ///< answered from the NPN4 norm table
-  std::uint64_t index_hits = 0;  ///< answered from the persisted index
-  std::uint64_t live = 0;        ///< fell back to live classification
-  std::uint64_t errors = 0;      ///< err responses
-  std::uint64_t flushed = 0;     ///< appended records flushed on session exit
-};
-
-/// One session's counters as atomics: the session thread increments them
-/// mid-request while another thread (a `stats` on a different
-/// connection, the server's shutdown report) snapshots — without the
-/// process-wide lock that used to serialize these, plain ints would be
-/// torn-read UB.
-struct ServeCounters {
-  std::atomic<std::uint64_t> requests{0};
-  std::atomic<std::uint64_t> lookups{0};
-  std::atomic<std::uint64_t> cache_hits{0};
-  std::atomic<std::uint64_t> memo_hits{0};
-  std::atomic<std::uint64_t> table_hits{0};
-  std::atomic<std::uint64_t> index_hits{0};
-  std::atomic<std::uint64_t> live{0};
-  std::atomic<std::uint64_t> errors{0};
-  std::atomic<std::uint64_t> flushed{0};
-
-  /// Relaxed-load copy; each counter is individually coherent.
-  [[nodiscard]] ServeStats snapshot() const noexcept
-  {
-    ServeStats s;
-    s.requests = requests.load(std::memory_order_relaxed);
-    s.lookups = lookups.load(std::memory_order_relaxed);
-    s.cache_hits = cache_hits.load(std::memory_order_relaxed);
-    s.memo_hits = memo_hits.load(std::memory_order_relaxed);
-    s.table_hits = table_hits.load(std::memory_order_relaxed);
-    s.index_hits = index_hits.load(std::memory_order_relaxed);
-    s.live = live.load(std::memory_order_relaxed);
-    s.errors = errors.load(std::memory_order_relaxed);
-    s.flushed = flushed.load(std::memory_order_relaxed);
-    return s;
-  }
-};
+/// Answer counts indexed by LookupSource.
+using SourceCounts = std::array<std::uint64_t, kNumLookupSources>;
 
 /// Per-width traffic counters of the aggregate: which routed stores run hot.
+/// One count per LookupSource, indexed by the enum (cache, memo, table,
+/// index, live — the `stats` field order), plus the records appended live.
+/// A row's lookups are the sum of its source counts: only answered operands
+/// are counted.
 struct ServeWidthCounters {
-  std::atomic<std::uint64_t> lookups{0};
-  std::atomic<std::uint64_t> cache_hits{0};
-  std::atomic<std::uint64_t> memo_hits{0};
-  std::atomic<std::uint64_t> table_hits{0};
-  std::atomic<std::uint64_t> index_hits{0};
-  std::atomic<std::uint64_t> live{0};
+  std::array<std::atomic<std::uint64_t>, kNumLookupSources> source{};
   std::atomic<std::uint64_t> appended{0};
 };
 
 /// Relaxed-load snapshot of one ServeWidthCounters row.
 struct ServeWidthStats {
-  std::uint64_t lookups = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t memo_hits = 0;
-  std::uint64_t table_hits = 0;
-  std::uint64_t index_hits = 0;
-  std::uint64_t live = 0;
+  SourceCounts source{};
   std::uint64_t appended = 0;
+
+  [[nodiscard]] std::uint64_t lookups() const noexcept;
 };
 
 /// Relaxed-load snapshot of the whole aggregate (ServeAggregateStats).
@@ -147,12 +103,6 @@ struct ServeAggregateSnapshot {
   std::uint64_t connections_active = 0;
   std::uint64_t connections_total = 0;
   std::uint64_t requests = 0;
-  std::uint64_t lookups = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t memo_hits = 0;
-  std::uint64_t table_hits = 0;
-  std::uint64_t index_hits = 0;
-  std::uint64_t live = 0;
   std::uint64_t errors = 0;
   std::uint64_t flushed_records = 0;
   std::uint64_t compactions = 0;
@@ -161,22 +111,20 @@ struct ServeAggregateSnapshot {
   std::uint64_t compacted_bytes = 0;
   std::uint64_t last_compaction_ms = 0;
   std::array<ServeWidthStats, kMaxVars + 1> width{};
+  /// Sum of the width rows: the aggregate line's lookups and per-source
+  /// totals.
+  ServeWidthStats total;
 };
 
 /// Process-wide counters shared by every serve session (and the background
-/// compactor) of one serving process — the numbers behind `stats`. All
-/// fields are atomics: sessions on different connections bump them without
-/// coordination.
+/// compactor) of one serving process — the numbers behind `stats`, and the
+/// one place a served operand is counted. All fields are atomics: sessions
+/// on different connections bump them without coordination.
 struct ServeAggregateStats {
   std::atomic<std::uint64_t> connections_active{0};
   std::atomic<std::uint64_t> connections_total{0};
+  /// Request frames and err responses.
   std::atomic<std::uint64_t> requests{0};
-  std::atomic<std::uint64_t> lookups{0};
-  std::atomic<std::uint64_t> cache_hits{0};
-  std::atomic<std::uint64_t> memo_hits{0};
-  std::atomic<std::uint64_t> table_hits{0};
-  std::atomic<std::uint64_t> index_hits{0};
-  std::atomic<std::uint64_t> live{0};
   std::atomic<std::uint64_t> errors{0};
   /// Appended records made durable (session-exit and shutdown flushes).
   std::atomic<std::uint64_t> flushed_records{0};
@@ -208,10 +156,11 @@ struct ServeOptions {
   /// Router equivalent: width -> delta-log path.
   std::map<int, std::string> dlog_paths;
 
-  /// When set, the session also accumulates into these process-wide
-  /// counters, and `stats` reports them. Null = `stats` reports the
-  /// session's own numbers. (Sessions sharing a store need nothing else:
-  /// the store gates its own mutations — class_store.hpp.)
+  /// When set, the session counts into these process-wide counters, and
+  /// `stats` reports them. Null = the dispatcher counts into an aggregate
+  /// of its own, so `stats` reports the session's own numbers. (Sessions
+  /// sharing a store need nothing else: the store gates its own mutations
+  /// — class_store.hpp.)
   ServeAggregateStats* aggregate = nullptr;
 
   /// When > 0: any request frame slower than this many microseconds logs
@@ -228,8 +177,8 @@ struct ServeOptions {
 
 /// The transport-independent core of one serve session: verb semantics
 /// (lookup/append policy, width routing, stats/metrics rendering, exit
-/// flush, counters) behind the protocol v2 frame session (net/frame.hpp).
-/// Exactly one of store/router is non-null.
+/// flush, counting into the aggregate) behind the protocol v2 frame
+/// session (net/frame.hpp). Exactly one of store/router is non-null.
 ///
 /// The dispatcher holds no lock, ever: every store access synchronizes
 /// inside ClassStore/StoreRouter (snapshot-epoch reads, a per-store
@@ -251,11 +200,11 @@ class ServeDispatcher {
   /// false is a pure gate-free read (a miss answers nullopt and never
   /// classifies or appends — protocol v2 `lookup`); `append` true runs the
   /// store's full miss path and persists novel classes (protocol v2
-  /// `append`; refused by the caller under process readonly). Counters and
-  /// per-width aggregate rows are bumped either way.
+  /// `append`; refused by the caller under process readonly). Counts
+  /// nothing: the caller hands a frame's answers to count_answers once.
   [[nodiscard]] std::optional<StoreLookupResult> lookup_binary(ClassStore& store,
                                                                const TruthTable& query,
-                                                               bool append);
+                                                               bool append) const;
 
   /// The session's options (the frame session reads the readonly policy and
   /// the slow-request threshold and sink from here).
@@ -273,27 +222,24 @@ class ServeDispatcher {
   /// a client that vanishes without a clean quit. Idempotent.
   std::size_t flush_on_exit();
 
-  /// Bumps the session request/error counters (frame front ends count one
-  /// request per frame; malformed frames also count one error).
+  /// Bumps the aggregate's request/error counters (frame front ends count
+  /// one request per frame; malformed frames also count one error).
   void count_request() noexcept;
   void count_error() noexcept;
 
-  /// Publishes this session's counter deltas into the shared aggregate.
-  void sync_aggregate();
-
-  /// Relaxed snapshot of this session's counters.
-  [[nodiscard]] ServeStats session_stats() const noexcept { return stats_.snapshot(); }
+  /// Adds one batch frame's answered operands to the aggregate's `width`
+  /// row: `answered` counts them per LookupSource. `append` is the frame's
+  /// verb; under it (and not readonly) every live answer is an appended
+  /// record.
+  void count_answers(int width, const SourceCounts& answered, bool append) noexcept;
 
  private:
-  void count_width(int width, const StoreLookupResult& result, bool append_policy);
   [[nodiscard]] std::vector<int> served_widths() const;
   void refresh_store_gauges();
 
   ClassStore* store_;
   StoreRouter* router_;
   ServeOptions options_;
-  ServeCounters stats_;
-  ServeStats synced_;
   ServeAggregateStats local_aggregate_;
   bool exit_flushed_ = false;
 };

@@ -471,7 +471,6 @@ TEST(ClassStore, LookupAndLookupOrClassifyShareOneTierWalk)
       EXPECT_FALSE(live.known) << "n=" << n;
       EXPECT_EQ(live.class_id, 0u) << "n=" << n;
     }
-    EXPECT_EQ(empty.num_table_hits(), 0u) << "n=" << n;
     EXPECT_EQ(empty.hot_cache_stats().entries, 0u) << "n=" << n;
     EXPECT_EQ(empty.memo_entries(), 0u) << "n=" << n;
     EXPECT_EQ(empty.num_records(), 0u) << "n=" << n;

@@ -88,14 +88,6 @@ TEST(Npn4Table, GoldenHashMatchesCheckedInValue)
   EXPECT_EQ(npn4_table_hash(), kNpn4GoldenTableHash);
 }
 
-TEST(Npn4Table, LookupCounterAdvances)
-{
-  const std::uint64_t before = npn4_table_lookups();
-  (void)npn4_lookup(TruthTable::from_word(4, 0xe8e8ULL));
-  (void)npn4_lookup(TruthTable::from_word(2, 0x6ULL));
-  EXPECT_GE(npn4_table_lookups(), before + 2);
-}
-
 TEST(Npn4Table, RejectsWidthsBeyondFour)
 {
   EXPECT_THROW((void)npn4_lookup(TruthTable{5}), std::invalid_argument);
@@ -129,14 +121,16 @@ TEST(Npn4Store, TableTierIdsBitIdenticalToExhaustiveClassifier)
       first_member[expected.class_of[i]] = i;
     }
     ClassStore store{n};
+    std::size_t table_hits = 0;
     for (std::size_t i = 0; i < funcs.size(); ++i) {
       const StoreLookupResult a = store.lookup_or_classify(funcs[i], true);
       ASSERT_EQ(a.class_id, expected.class_of[i]) << "n=" << n;
       ASSERT_EQ(a.representative, funcs[first_member[a.class_id]]) << "n=" << n;
       ASSERT_EQ(apply_transform(funcs[i], a.to_representative), a.representative) << "n=" << n;
+      table_hits += a.source == LookupSource::kTable ? 1 : 0;
     }
     EXPECT_EQ(store.num_classes(), expected.num_classes);
-    EXPECT_GT(store.num_table_hits(), 0u);
+    EXPECT_GT(table_hits, 0u);
     EXPECT_EQ(store.num_canonicalizations(), 0u)
         << "a width <= 4 store must never canonicalize";
   }
@@ -165,7 +159,6 @@ TEST(Npn4Store, ExhaustiveWidth4StoreServesEveryQueryFromTheTable)
     EXPECT_EQ(apply_transform(f, result->to_representative), result->representative);
   }
   EXPECT_EQ(store.num_canonicalizations(), 0u);
-  EXPECT_GT(store.num_table_hits(), 0u);
 }
 
 TEST(Npn4Store, TransientMissesStayUnknownThroughTheTableTier)

@@ -11,6 +11,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <random>
 #include <sstream>
 #include <string>
@@ -133,7 +134,12 @@ class Session {
     return read_u64(reinterpret_cast<const unsigned char*>(response.payload.data()));
   }
 
-  [[nodiscard]] ServeStats counters() const { return dispatcher_.session_stats(); }
+  /// The dispatcher's aggregate: the shared one when options name it, else
+  /// the session's own.
+  [[nodiscard]] ServeAggregateSnapshot counters() const
+  {
+    return dispatcher_.options().aggregate->snapshot();
+  }
   [[nodiscard]] FrameStep last_step() const { return step_; }
 
  private:
@@ -145,6 +151,12 @@ class Session {
 const char* src_of(const FrameRecord& record)
 {
   return frame_src_name(record.src);
+}
+
+/// Answers `source` gave across every width of an aggregate snapshot.
+std::uint64_t answered(const ServeAggregateSnapshot& counters, LookupSource source)
+{
+  return counters.total.source[static_cast<std::size_t>(source)];
 }
 
 /// The numeric value of `key=<v>` on a stats line.
@@ -181,13 +193,13 @@ TEST(StoreServe, LookupStatsQuit)
       << stats[0];
   EXPECT_EQ(session.quit(), 0u);
 
-  const ServeStats counters = session.counters();
+  const ServeAggregateSnapshot counters = session.counters();
   EXPECT_EQ(counters.requests, 4u);
-  EXPECT_EQ(counters.lookups, 2u);
-  EXPECT_EQ(counters.table_hits, 2u);
-  EXPECT_EQ(counters.cache_hits, 0u);
-  EXPECT_EQ(counters.index_hits, 0u);
-  EXPECT_EQ(counters.live, 0u);
+  EXPECT_EQ(counters.total.lookups(), 2u);
+  EXPECT_EQ(answered(counters, LookupSource::kTable), 2u);
+  EXPECT_EQ(answered(counters, LookupSource::kHotCache), 0u);
+  EXPECT_EQ(answered(counters, LookupSource::kIndex), 0u);
+  EXPECT_EQ(answered(counters, LookupSource::kLive), 0u);
   EXPECT_EQ(counters.errors, 0u);
 }
 
@@ -222,7 +234,7 @@ TEST(StoreServe, MalformedRequestsAnswerErrAndKeepServing)
   EXPECT_NE(records[0].class_id, kFrameMissClassId) << "the session must survive errors";
   EXPECT_EQ(session.quit(), 0u);
   EXPECT_EQ(session.counters().errors, 4u);
-  EXPECT_EQ(session.counters().lookups, 1u);
+  EXPECT_EQ(session.counters().total.lookups(), 1u);
 }
 
 TEST(StoreServe, UnknownFunctionsFallBackToLiveAndCanAppend)
@@ -255,7 +267,7 @@ TEST(StoreServe, UnknownFunctionsFallBackToLiveAndCanAppend)
   ASSERT_EQ(hit.size(), 1u);
   EXPECT_EQ(hit[0].class_id, appended[0].class_id);
   EXPECT_EQ(hit[0].known, 1);
-  EXPECT_EQ(session.counters().live, 1u);
+  EXPECT_EQ(answered(session.counters(), LookupSource::kLive), 1u);
   EXPECT_EQ(store.num_appended(), 1u);
 }
 
@@ -287,7 +299,7 @@ TEST(StoreRouterServe, OneSessionAnswersMixedWidths)
   EXPECT_EQ(stats[1].rfind("ok width=3 lookups=1 ", 0), 0u) << stats[1];
   EXPECT_EQ(stats[2].rfind("ok width=4 lookups=1 ", 0), 0u) << stats[2];
   EXPECT_EQ(stats[3].rfind("ok width=5 lookups=1 ", 0), 0u) << stats[3];
-  EXPECT_EQ(session.counters().lookups, 3u);
+  EXPECT_EQ(session.counters().total.lookups(), 3u);
   EXPECT_EQ(session.counters().errors, 1u);
 }
 
@@ -314,7 +326,7 @@ TEST(ServeProtocolEdge, QuitFlushesAppendsAndReportsCount)
   ASSERT_EQ(appended.size(), 1u);
   EXPECT_STREQ(src_of(appended[0]), "live");
   EXPECT_EQ(session.quit(), 1u);
-  EXPECT_EQ(session.counters().flushed, 1u);
+  EXPECT_EQ(session.counters().flushed_records, 1u);
   EXPECT_EQ(store.num_appended(), 0u) << "the memtable was sealed";
 
   // The append is durable: a fresh open replays the delta log.
@@ -406,7 +418,7 @@ TEST(StoreServe, EndOfInputEndsTheLoopWithoutQuit)
 
 #endif  // sockets
 
-TEST(ServeProtocolEdge, MalformedOperandsAnswerOneCanonicalShapeInBothLoops)
+TEST(ServeProtocolEdge, MalformedOperandsAnswerOneCanonicalShapeInSingleAndRoutedSessions)
 {
   // A batch payload shorter than its count, and one whose count disagrees
   // with its operand bytes, answer the same bad_count reasons from a
@@ -434,7 +446,7 @@ TEST(ServeProtocolEdge, MalformedOperandsAnswerOneCanonicalShapeInBothLoops)
             "count 3 at width 4 needs 10 payload bytes, frame carries 6");
   EXPECT_EQ(single.counters().errors, 4u);
   EXPECT_EQ(routed.counters().errors, 2u);
-  EXPECT_EQ(single.counters().lookups, 0u);
+  EXPECT_EQ(single.counters().total.lookups(), 0u);
 }
 
 TEST(ServeProtocolEdge, RouterQuitFlushesEveryWidth)
@@ -457,7 +469,7 @@ TEST(ServeProtocolEdge, RouterQuitFlushesEveryWidth)
   ASSERT_EQ(session.append({novel3}).size(), 1u);
   ASSERT_EQ(session.append({novel4}).size(), 1u);
   EXPECT_EQ(session.quit(), 2u);
-  EXPECT_EQ(session.counters().flushed, 2u);
+  EXPECT_EQ(session.counters().flushed_records, 2u);
 
   StoreRouter reopened = StoreRouter::open({path3, path4});
   EXPECT_TRUE(reopened.lookup(novel3).has_value());
@@ -485,13 +497,13 @@ TEST(ServeProtocolEdge, ReadonlySessionRejectsMissesButServesHits)
   EXPECT_EQ(session.send(encode_batch_request(FrameVerb::kAppend, 4, {novel})).status(),
             FrameStatus::kReadonly);
   EXPECT_EQ(session.quit(), 0u);
-  EXPECT_EQ(session.counters().lookups, 1u);
+  EXPECT_EQ(session.counters().total.lookups(), 1u);
   EXPECT_EQ(session.counters().errors, 1u);
   EXPECT_EQ(store.num_appended(), 0u);
   EXPECT_EQ(store.num_classes(), store.num_records()) << "no live ids were allocated";
 }
 
-TEST(ServeProtocolEdge, StatsAllAnswersAggregateInStdinSessions)
+TEST(ServeProtocolEdge, StatsAllAnswersAggregateInStandaloneSessions)
 {
   // A session without a shared aggregate (no server around it) is its own
   // aggregate: one connection, one session.
@@ -547,6 +559,57 @@ TEST(ServeProtocolEdge, StatsAllCountsAppendsPerWidth)
   EXPECT_EQ(lines[2],
             "ok width=4 lookups=1 cache_hits=0 memo_hits=0 table_hits=0 index_hits=0 live=1 "
             "appended=1");
+}
+
+TEST(ServeProtocolEdge, DispatchersSharingAnAggregateSeeEachOthersTraffic)
+{
+  // Two sessions of one server share its aggregate: a `stats` on B reports
+  // A's traffic while A stays open, the aggregate's per-source totals are
+  // the sums of the width rows, and a frame that mixes hits with
+  // pure-lookup misses counts only its hits.
+  StoreRouter router;
+  router.attach(std::make_unique<ClassStore>(make_store(4, 0xed40ULL)));
+  router.attach(std::make_unique<ClassStore>(make_store(5, 0xed41ULL)));
+  const TruthTable rep4 = router.store_for(4)->records().front().representative;
+  const TruthTable rep5 = router.store_for(5)->records().front().representative;
+  const TruthTable novel4 = novel_function(*router.store_for(4), 0xed42ULL);
+  const TruthTable novel5 = novel_function(*router.store_for(5), 0xed43ULL);
+  router.store_for(5)->clear_hot_cache();
+
+  ServeAggregateStats aggregate;
+  ServeOptions options;
+  options.aggregate = &aggregate;
+  Session a{router, options};
+  Session b{router, options};
+
+  const auto width4 = a.lookup({rep4, novel4, rep4});
+  ASSERT_EQ(width4.size(), 3u);
+  EXPECT_STREQ(src_of(width4[1]), "miss");
+  const auto width5 = a.lookup({rep5, novel5, rep5});
+  ASSERT_EQ(width5.size(), 3u);
+  EXPECT_STREQ(src_of(width5[1]), "miss");
+  FrameHeader garbage;
+  garbage.magic = kFrameRequestMagic;
+  garbage.verb = 0x7E;
+  std::string unknown_verb;
+  encode_header(unknown_verb, garbage);
+  EXPECT_EQ(a.send(unknown_verb).status(), FrameStatus::kBadVerb);
+
+  const auto lines = b.stats();
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_EQ(field(lines[0], "requests"), 4) << lines[0];  // A's three + this stats
+  EXPECT_EQ(field(lines[0], "lookups"), 4) << lines[0];   // the two misses are not counted
+  EXPECT_EQ(field(lines[0], "errors"), 1) << lines[0];
+  EXPECT_EQ(lines[1],
+            "ok width=4 lookups=2 cache_hits=0 memo_hits=0 table_hits=2 index_hits=0 live=0 "
+            "appended=0");
+  EXPECT_EQ(field(lines[2], "lookups"), 2) << lines[2];
+  EXPECT_EQ(field(lines[2], "live"), 0) << lines[2];
+  for (const char* key :
+       {"lookups", "cache_hits", "memo_hits", "table_hits", "index_hits", "live"}) {
+    EXPECT_EQ(field(lines[0], key), field(lines[1], key) + field(lines[2], key)) << key;
+  }
+  EXPECT_EQ(a.counters().total.lookups(), 4u) << "both sessions read the one aggregate";
 }
 
 TEST(ServeProtocolEdge, StatsLineReportsErrors)
@@ -688,7 +751,7 @@ TEST(ServeProtocolEdge, MemoHitsAppearInSrcAndStats)
   const auto lines = session.stats();
   ASSERT_FALSE(lines.empty());
   EXPECT_NE(lines[0].find(" memo_hits=1 "), std::string::npos) << lines[0];
-  EXPECT_EQ(session.counters().memo_hits, 1u);
+  EXPECT_EQ(answered(session.counters(), LookupSource::kMemo), 1u);
   // Both answers name the same class.
   EXPECT_EQ(first[0].class_id, second[0].class_id);
   EXPECT_EQ(store.num_canonicalizations(), 1u) << "the memo hit must not re-canonicalize";

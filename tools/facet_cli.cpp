@@ -108,9 +108,6 @@ int cmd_classify(const CliArgs& args)
   Stopwatch watch;
   ClassificationResult result;
   BatchEngineStats stats;
-  // Table-tier accounting: every width <= 4 canonicalization resolves
-  // through the baked NPN4 norm table; report how many did.
-  const std::uint64_t table_lookups_before = npn4_table_lookups();
   if (use_engine) {
     BatchEngineOptions options;
     options.num_threads = jobs;
@@ -142,13 +139,9 @@ int cmd_classify(const CliArgs& args)
     }
   }
   const double seconds = watch.seconds();
-  const std::uint64_t table_lookups = npn4_table_lookups() - table_lookups_before;
 
   std::cout << "functions: " << funcs.size() << "\nclasses:   " << result.num_classes
             << "\ntime:      " << seconds << " s\n";
-  if (table_lookups != 0) {
-    std::cout << "npn4:      " << table_lookups << " table lookup(s) (O(1) tier, n <= 4)\n";
-  }
   if (use_engine) {
     std::cout << "engine:    " << stats.threads << " thread(s), " << stats.shards_used
               << " shard(s) used (max " << stats.max_shard_size << " funcs), cache " << stats.cache_hits
@@ -278,26 +271,35 @@ int cmd_lookup(const CliArgs& args)
   return 0;
 }
 
+/// Writes `<k> lookup(s), <h> cache / <m> memo / <t> table / <i> index /
+/// <l> live` for one `stats` row.
+void report_sources(const ServeWidthStats& row)
+{
+  std::cerr << row.lookups() << " lookup(s), ";
+  for (std::size_t src = 0; src < kNumLookupSources; ++src) {
+    std::cerr << (src == 0 ? "" : " / ") << row.source[src] << ' '
+              << lookup_source_name(static_cast<LookupSource>(src));
+  }
+}
+
 void report_server_stats(const ServeAggregateStats& stats)
 {
   const ServeAggregateSnapshot agg = stats.snapshot();
   std::cerr << "served " << agg.connections_total << " connection(s), " << agg.requests
-            << " request(s): " << agg.lookups << " lookup(s), " << agg.cache_hits << " cache / "
-            << agg.memo_hits << " memo / " << agg.table_hits << " table / " << agg.index_hits
-            << " index / " << agg.live << " live, " << agg.errors
-            << " error(s), flushed " << agg.flushed_records << " record(s), " << agg.compactions
-            << " compaction(s) (" << agg.compacted_runs << " run(s), " << agg.compacted_records
-            << " record(s))\n";
+            << " request(s): ";
+  report_sources(agg.total);
+  std::cerr << ", " << agg.errors << " error(s), flushed " << agg.flushed_records
+            << " record(s), " << agg.compactions << " compaction(s) (" << agg.compacted_runs
+            << " run(s), " << agg.compacted_records << " record(s))\n";
   // The `stats` per-width rows, for operators reading the exit log.
   for (std::size_t n = 0; n < agg.width.size(); ++n) {
     const ServeWidthStats& row = agg.width[n];
-    if (row.lookups == 0) {
+    if (row.lookups() == 0) {
       continue;
     }
-    std::cerr << "  width " << n << ": " << row.lookups << " lookup(s), " << row.cache_hits
-              << " cache / " << row.memo_hits << " memo / " << row.table_hits << " table / "
-              << row.index_hits << " index / " << row.live << " live, " << row.appended
-              << " appended\n";
+    std::cerr << "  width " << n << ": ";
+    report_sources(row);
+    std::cerr << ", " << row.appended << " appended\n";
   }
 }
 
