@@ -11,10 +11,13 @@
 ///     chosen so that no class of the wrapped classifier can straddle two
 ///     shards;
 ///  2. classify: run the shards concurrently on a worker pool
-///     (work_queue.hpp), with a per-shard memo cache of canonical forms /
-///     signature vectors so repeated functions — ubiquitous in
-///     cut-enumeration workloads — never pay canonicalization twice, within
-///     a call or across calls;
+///     (work_queue.hpp), with a per-shard memo cache of canonical forms
+///     (class representatives for kExact) so repeated functions — ubiquitous in cut-enumeration workloads — never
+///     pay canonicalization twice, within a call or across calls. The
+///     exact-canonical kind (kExhaustive) also keeps a per-shard
+///     SemiclassMemo (semiclass.hpp), the memo the class store's memo tier
+///     uses, so a new member of a class the shard has canonicalized costs a
+///     matcher probe, not a canonicalization;
 ///  3. merge: renumber shard-local class ids into dense global ids by first
 ///     occurrence in input order.
 ///
@@ -47,8 +50,6 @@
 
 namespace facet {
 
-class ClassStore;
-class StoreRouter;
 class WorkerPool;
 struct BatchShardState;
 
@@ -82,9 +83,6 @@ struct BatchEngineOptions {
   CodesignOptions codesign{};
   /// Refinement budget forwarded to classify_hierarchical.
   std::size_t hierarchical_refine_budget = 64;
-  /// Keep per-shard canonical-form caches alive across classify() calls
-  /// (the fp kinds keep no cache).
-  bool memoize = true;
 };
 
 /// Telemetry of one classify() call.
@@ -94,14 +92,11 @@ struct BatchEngineStats {
   std::size_t max_shard_size = 0;  ///< largest shard (skew indicator; 0 for fp kinds)
   std::size_t cache_hits = 0;      ///< canonicalizations / MSVs skipped (dups + memo)
   std::size_t cache_misses = 0;    ///< canonicalizations / MSVs actually computed
-  std::size_t store_cache_hits = 0;  ///< attached-store hot-cache hits (no canonicalization)
-  std::size_t store_table_hits = 0;  ///< attached-store NPN4 norm-table hits (width <= 4)
-  std::size_t store_index_hits = 0;  ///< attached-store index hits (canonical known)
 };
 
 /// Reusable parallel batch classifier. Thread-safe for sequential reuse
-/// (one classify() at a time); the per-shard caches make repeated calls on
-/// overlapping function sets cheaper than the first.
+/// (one classify() at a time); the per-shard caches, kept across calls,
+/// make repeated calls on overlapping function sets cheaper than the first.
 class BatchEngine {
  public:
   explicit BatchEngine(ClassifierKind kind, BatchEngineOptions options = {});
@@ -123,34 +118,12 @@ class BatchEngine {
   /// Drops all per-shard memo caches.
   void clear_cache();
 
-  /// Attaches a read-only ClassStore fast path (kExhaustive engines only —
-  /// other kinds throw std::invalid_argument). Functions found in the
-  /// store's hot cache — or resolved by its NPN4 norm-table tier on a
-  /// width <= 4 store — skip canonicalization entirely; canonical forms
-  /// found in its index key their class by the stored class id. Both key
-  /// flavors induce the same partition as the canonical image, so the
-  /// merged result stays bit-identical to the sequential classifier.
-  /// Pass nullptr to detach. The store must not be mutated (appended to)
-  /// while a classify() call is running.
-  void attach_store(const ClassStore* store);
-  [[nodiscard]] const ClassStore* attached_store() const noexcept { return store_; }
-
-  /// Attaches a StoreRouter fast path (kExhaustive engines only): every
-  /// function resolves through the router's store of its width, so one
-  /// engine accelerates mixed-width workloads. Same bit-identity guarantee
-  /// and mutation rules as attach_store; pass nullptr to detach. A router
-  /// takes precedence over an attached single store.
-  void attach_router(const StoreRouter* router);
-  [[nodiscard]] const StoreRouter* attached_router() const noexcept { return router_; }
-
  private:
   ClassifierKind kind_;
   BatchEngineOptions options_;
   std::size_t num_shards_;
   std::unique_ptr<WorkerPool> pool_;
   std::vector<std::unique_ptr<BatchShardState>> shards_;
-  const ClassStore* store_ = nullptr;
-  const StoreRouter* router_ = nullptr;
   /// `facet_batch_shard_classify_latency{classifier=...}` — per-shard
   /// classify timing (for the fp kinds, per MSV-build chunk), resolved once
   /// at construction (obs/registry.hpp).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <numeric>
+#include <utility>
 
 #include "facet/sig/cofactor.hpp"
 #include "facet/sig/influence.hpp"
@@ -119,6 +120,60 @@ SemiclassResult semiclass_form(const TruthTable& tt)
   SemiclassResult a = form_polarity(tt, false);
   SemiclassResult b = form_polarity(tt, true);
   return a.image <= b.image ? a : b;
+}
+
+std::optional<CanonResult> SemiclassMemo::find(const TruthTable& f, const SemiclassKey& key) const
+{
+  std::vector<std::shared_ptr<const Entry>> bucket;
+  {
+    const std::lock_guard<std::mutex> lock{mutex_};
+    if (const auto it = buckets_.find(key); it != buckets_.end()) {
+      bucket = it->second;
+    }
+  }
+  if (bucket.empty()) {
+    return std::nullopt;
+  }
+  const NpnMatchKeys f_keys = npn_match_keys(f);
+  for (const auto& entry : bucket) {
+    if (const auto t = npn_match(f, f_keys, entry->canonical, entry->keys)) {
+      return CanonResult{entry->canonical, *t};
+    }
+  }
+  return std::nullopt;
+}
+
+void SemiclassMemo::insert(const SemiclassKey& key, const TruthTable& canonical)
+{
+  // The matcher keys are the expensive part of an entry: derive them before
+  // taking the lock.
+  auto entry = std::make_shared<const Entry>(Entry{canonical, npn_match_keys(canonical)});
+  const std::lock_guard<std::mutex> lock{mutex_};
+  if (size_ >= capacity_) {
+    buckets_.clear();
+    size_ = 0;
+  }
+  auto& bucket = buckets_[key];
+  for (const auto& existing : bucket) {
+    if (existing->canonical == canonical) {
+      return;  // two racing inserters of one class: the first wins
+    }
+  }
+  bucket.push_back(std::move(entry));
+  ++size_;
+}
+
+std::size_t SemiclassMemo::size() const
+{
+  const std::lock_guard<std::mutex> lock{mutex_};
+  return size_;
+}
+
+void SemiclassMemo::clear()
+{
+  const std::lock_guard<std::mutex> lock{mutex_};
+  buckets_.clear();
+  size_ = 0;
 }
 
 }  // namespace facet

@@ -18,6 +18,20 @@
 
 namespace facet {
 
+namespace {
+
+/// The memo's probation window: after this many probes (empty-bucket misses
+/// included — the key derivation they wasted is the cost being measured), a
+/// memo that scored fewer than kMemoProbationMinHits hits (~1.5%) is
+/// bypassed for the life of the store. Append-heavy workloads with little
+/// semiclass locality (wide widths, uniform-random functions) otherwise pay
+/// key derivation + a mutex hop on every miss for nothing — the regression
+/// BENCH_store_misspath caught at n=6.
+constexpr std::uint64_t kMemoProbationProbes = 1024;
+constexpr std::uint64_t kMemoProbationMinHits = 16;
+
+}  // namespace
+
 const char* lookup_source_name(LookupSource source) noexcept
 {
   switch (source) {
@@ -42,7 +56,6 @@ ClassStore::ClassStore(int num_vars, ClassStoreOptions options)
           TierSnapshot{std::make_shared<MaterializedSegment>(num_vars, std::vector<StoreRecord>{}),
                        {}}))},
       memtable_{std::make_unique<Memtable>()},
-      memo_{std::make_unique<SemiclassMemo>()},
       cache_{options.hot_cache_capacity, options.hot_cache_shards}
 {
   if (num_vars < 0 || num_vars > kMaxVars) {
@@ -50,6 +63,8 @@ ClassStore::ClassStore(int num_vars, ClassStoreOptions options)
   }
   if (num_vars <= kNpn4MaxVars) {
     npn4_ = std::make_unique<Npn4Slots>(npn4_num_classes(num_vars));
+  } else if (options.semiclass_memo_capacity > 0) {
+    memo_ = std::make_unique<SemiclassMemo>(options.semiclass_memo_capacity);
   }
   resolve_metrics();
 }
@@ -811,76 +826,7 @@ std::optional<StoreLookupResult> ClassStore::fast_front(const TruthTable& f,
 
 std::size_t ClassStore::memo_entries() const
 {
-  const std::lock_guard<std::mutex> lock{memo_->mutex};
-  return memo_->entries;
-}
-
-std::optional<StoreLookupResult> ClassStore::memo_probe(const TruthTable& f,
-                                                        const SemiclassKey& key) const
-{
-  if (options_.semiclass_memo_capacity == 0) {
-    return std::nullopt;
-  }
-  // Probation accounting: after memo_probation_probes probes (empty-bucket
-  // misses included — the key derivation they wasted is the cost being
-  // measured), a memo that scored fewer than memo_probation_min_hits hits
-  // is bypassed for the life of the store. Workloads with little semiclass
-  // locality (wide widths, uniform-random functions) otherwise pay key
-  // derivation + a mutex hop on every miss for nothing — the regression
-  // BENCH_store_misspath caught at n=6.
-  const std::uint64_t probes = memo_probes_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (options_.memo_probation_probes != 0 && probes == options_.memo_probation_probes &&
-      memo_hits_.load(std::memory_order_relaxed) < options_.memo_probation_min_hits) {
-    memo_bypassed_.store(true, std::memory_order_relaxed);
-  }
-  // Copy the bucket (a handful of shared_ptrs) out under the lock; the
-  // matcher probes below run on the immutable entries with no lock held.
-  std::vector<std::shared_ptr<const MemoEntry>> bucket;
-  {
-    const std::lock_guard<std::mutex> lock{memo_->mutex};
-    if (const auto it = memo_->buckets.find(key); it != memo_->buckets.end()) {
-      bucket = it->second;
-    }
-  }
-  if (bucket.empty()) {
-    return std::nullopt;
-  }
-  const NpnMatchKeys f_keys = npn_match_keys(f);
-  for (const auto& entry : bucket) {
-    if (const auto t = npn_match(f, f_keys, entry->record.canonical, entry->keys)) {
-      // t maps f onto the entry's canonical form — exactly the witness the
-      // exact canonicalizer would have produced a class id for.
-      StoreLookupResult result = make_result(entry->record, *t, LookupSource::kMemo);
-      cache_.put(f, CacheEntry{result.class_id, result.representative, result.to_representative});
-      memo_hits_.fetch_add(1, std::memory_order_relaxed);
-      return result;
-    }
-  }
-  return std::nullopt;
-}
-
-void ClassStore::memo_insert(const SemiclassKey& key, const StoreRecord& record) const
-{
-  if (options_.semiclass_memo_capacity == 0) {
-    return;
-  }
-  // Derive the matcher keys before taking the lock — they are the expensive
-  // part of the entry.
-  auto entry = std::make_shared<const MemoEntry>(
-      MemoEntry{record, npn_match_keys(record.canonical)});
-  const std::lock_guard<std::mutex> lock{memo_->mutex};
-  if (memo_->entries >= options_.semiclass_memo_capacity) {
-    memo_->buckets.clear();
-    memo_->entries = 0;
-  }
-  auto& bucket = memo_->buckets[key];
-  for (const auto& existing : bucket) {
-    if (existing->record.canonical == record.canonical) {
-      return;  // two racing resolvers of one class: first insert wins
-    }
-  }
-  bucket.push_back(std::move(entry));
-  ++memo_->entries;
+  return memo_ != nullptr ? memo_->size() : 0;
 }
 
 std::optional<StoreLookupResult> ClassStore::lookup(const TruthTable& f) const
@@ -907,51 +853,71 @@ std::optional<StoreLookupResult> ClassStore::walk(const TruthTable& f, MissPolic
   std::uint64_t t0 = sampled ? obs::now_ticks() : 0;
   Npn4Result table;
   std::optional<StoreLookupResult> result = fast_front(f, table);
-  // The memo serves width >= 5 only: below, the slots answer every class
-  // the store holds. A bypassed memo skips the key derivation too — the
-  // derivation is most of what the probation measured as waste.
-  std::optional<SemiclassKey> key;
-  if (!result && npn4_ == nullptr && options_.semiclass_memo_capacity > 0 &&
-      !memo_bypassed()) {
-    key = semiclass_key(f);
-    result = memo_probe(f, *key);
-  }
   if (result) {
     if (sampled) {
       record_lookup_latency(static_cast<std::size_t>(result->source), t0);
     }
     return result;
   }
-  if (!sampled) {
+  // The memo serves width >= 5 only: below, the table is the
+  // canonicalizer. A bypassed memo skips the key derivation too — the
+  // derivation is most of what the probation measured as waste.
+  std::optional<SemiclassKey> key;
+  std::optional<CanonResult> memo_hit;
+  if (memo_ != nullptr && !memo_bypassed()) {
+    key = semiclass_key(f);
+    const std::uint64_t probes = memo_probes_.fetch_add(1, std::memory_order_relaxed) + 1;
+    if (probes == kMemoProbationProbes &&
+        memo_hits_.load(std::memory_order_relaxed) < kMemoProbationMinHits) {
+      memo_bypassed_.store(true, std::memory_order_relaxed);
+    }
+    memo_hit = memo_->find(f, *key);
+    if (memo_hit) {
+      memo_hits_.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  // A memo hit is a fast tier too: it stays on the sampled clock.
+  const bool timed = sampled || !memo_hit;
+  if (!sampled && timed) {
     t0 = obs::now_ticks();
   }
   // At width <= 4 the fast front's table load already holds the canonical
   // form and witness: the table IS the canonicalizer there.
+  const LookupSource hit_source = npn4_ != nullptr ? LookupSource::kTable
+                                  : memo_hit       ? LookupSource::kMemo
+                                                   : LookupSource::kIndex;
   const CanonResult canon = [&] {
     if (npn4_ != nullptr) {
       return CanonResult{TruthTable::from_word(num_vars_, table.canonical_word), table.transform};
     }
+    if (memo_hit) {
+      return std::move(*memo_hit);
+    }
     canonicalizations_.fetch_add(1, std::memory_order_relaxed);
     return exact_npn_canonical_with_transform(f);
   }();
+  // A memo hit's class is memoized already: only a canonicalized class is
+  // offered to the memo.
   const std::size_t npn4_class = table.class_index;
-  result = resolve(f, canon, miss, key ? &*key : nullptr,
+  result = resolve(f, canon, miss, hit_source, key && !memo_hit ? &*key : nullptr,
                    npn4_ != nullptr ? &npn4_class : nullptr);
-  record_lookup_latency(result ? static_cast<std::size_t>(result->source) : kMissTier, t0);
+  if (timed) {
+    record_lookup_latency(result ? static_cast<std::size_t>(result->source) : kMissTier, t0);
+  }
   return result;
 }
 
 std::optional<StoreLookupResult> ClassStore::resolve(const TruthTable& f,
                                                      const CanonResult& canon, MissPolicy miss,
+                                                     LookupSource hit_source,
                                                      const SemiclassKey* key,
                                                      const std::size_t* npn4_class) const
 {
-  // At width <= 4 an index hit is reported as src=table — the table did the
-  // canonicalization — and fills the class's slot, so every later query is
-  // one array load.
+  // An index hit is reported by the step that canonicalized: src=table at
+  // width <= 4 (which also fills the class's slot, so every later query is
+  // one array load), src=memo for a memo hit, else src=index.
   const auto hit = [&](const StoreRecord& record) {
-    const LookupSource source = npn4_class != nullptr ? LookupSource::kTable : LookupSource::kIndex;
-    std::optional<StoreLookupResult> result = make_result(record, canon.transform, source);
+    std::optional<StoreLookupResult> result = make_result(record, canon.transform, hit_source);
     learn(f, record, *result, key, npn4_class);
     return result;
   };
@@ -1019,7 +985,7 @@ void ClassStore::learn(const TruthTable& f, const StoreRecord& record,
   }
   cache_.put(f, CacheEntry{result.class_id, result.representative, result.to_representative});
   if (key != nullptr) {
-    memo_insert(*key, record);
+    memo_->insert(*key, record.canonical);
   }
 }
 

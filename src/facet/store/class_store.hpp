@@ -17,14 +17,14 @@
 ///                    the sharded-LRU hot cache by f itself (hot_cache.hpp).
 ///                    A width <= 4 store never uses the cache or the memo:
 ///                    its slots answer every class the store holds;
-///   2. memo        — width >= 5: hash f's NPN-invariant semiclass key
-///                    (semiclass.hpp) into a bucket of previously resolved
-///                    classes and confirm membership with the Boolean
-///                    matcher (matcher.hpp) — no exact canonicalization;
-///   3. canonical   — f's canonical form and witness: the table's word at
-///                    width <= 4, the branch-and-bound (exact_canon.hpp)
-///                    above;
-///   4. resolve     — probe the memtable (unflushed appends), the delta runs
+///   2. canonical   — f's canonical form and witness: the table's word at
+///                    width <= 4. Wider, the semiclass memo (SemiclassMemo,
+///                    semiclass.hpp) answers when it holds f's class: it
+///                    hashes f's NPN-invariant semiclass key into a bucket
+///                    of resolved classes and confirms membership with the
+///                    Boolean matcher (matcher.hpp). Else the
+///                    branch-and-bound (exact_canon.hpp) runs;
+///   3. resolve     — probe the memtable (unflushed appends), the delta runs
 ///                    newest-first, then the base: a binary search over the
 ///                    sorted records, either materialized in RAM (load; any
 ///                    format version) or executed in place over a read-only
@@ -38,11 +38,15 @@
 ///
 /// The semiclass memo exists because exact canonicalization dominates every
 /// tier after it: a memo hit replaces the canonical-form search with one
-/// invariant-key hash plus a signature-pruned matcher probe. The memo learns
-/// every class the slow path resolves (index hits and appended live misses;
-/// never the transient non-appending misses, which must keep reporting
-/// known=false), and its hits are matcher-verified, so class ids are
-/// bit-identical with the memo enabled, disabled, or mid-eviction.
+/// invariant-key hash plus a signature-pruned matcher probe. Its answer is a
+/// canonical form and witness like the branch-and-bound's, so it feeds the
+/// same resolve step, which reports src=memo when the index answers. The
+/// memo learns every class the slow path resolves (index hits and appended
+/// live misses; never the transient non-appending misses, which must keep
+/// reporting known=false), and its hits are matcher-verified, so class ids
+/// are bit-identical with the memo enabled, disabled, or mid-eviction. A
+/// probation window (memo_bypassed()) turns the memo off for a store whose
+/// first probes find almost no hits.
 ///
 /// Appends accumulate in the memtable until flush_delta() seals them into an
 /// immutable delta run (and, given a path, appends one frame to the
@@ -60,8 +64,7 @@
 /// ## Concurrency
 ///
 /// The store synchronizes itself — callers (the serve sessions, the network
-/// server, the background compactor, the batch engine's workers) never wrap
-/// it in an external lock:
+/// server, the background compactor) never wrap it in an external lock:
 ///
 ///   * The immutable tiers — base segment + delta runs — are published as
 ///     one swapped-wholesale TierSnapshot (gate.hpp). Readers pin the
@@ -72,12 +75,11 @@
 ///   * The memtable is guarded by a mutex of its own, held only for the
 ///     hash probe / insert — never across canonicalization, segment
 ///     searches or I/O.
-///   * The semiclass memo follows the memtable pattern: a dedicated mutex
-///     held only to copy a bucket out (probe) or splice an entry in
-///     (insert). Matcher probes and key derivation run outside the lock on
-///     immutable shared entries, so a reader verifying a candidate never
-///     blocks an inserter. The lock order is gate -> memo (append inserts
-///     happen under the gate); no path takes them the other way around.
+///   * The semiclass memo synchronizes itself like the memtable: a
+///     dedicated mutex held only to copy a bucket out (find) or splice an
+///     entry in (insert), never across a matcher probe or key derivation.
+///     The lock order is gate -> memo (append inserts happen under the
+///     gate); no path takes them the other way around.
 ///   * Mutations — lookup_or_classify's live tier, flush_delta, compact,
 ///     the adopt_compacted swap — serialize on one small per-store gate.
 ///     Canonicalization (the expensive step) always happens before the
@@ -126,7 +128,6 @@
 #include <vector>
 
 #include "facet/npn/exact_canon.hpp"
-#include "facet/npn/matcher.hpp"
 #include "facet/npn/npn4_table.hpp"
 #include "facet/npn/semiclass.hpp"
 #include "facet/npn/transform.hpp"
@@ -173,21 +174,10 @@ struct ClassStoreOptions {
   /// <= 4 stores never consult it (nor the memo): the norm table answers.
   std::size_t hot_cache_capacity = 1u << 16;
   std::size_t hot_cache_shards = 8;
-  /// Total semiclass-memo entries across buckets; 0 disables the memo tier.
+  /// Total semiclass-memo entries across buckets; 0 disables the memo.
   /// On overflow the memo is cleared wholesale and relearns — correctness
   /// never depends on what the memo holds.
   std::size_t semiclass_memo_capacity = 1u << 16;
-  /// Adaptive memo bypass: after this many memo probes, a store whose memo
-  /// scored fewer than `memo_probation_min_hits` hits disables the memo
-  /// tier for the rest of its lifetime (sticky). Append-heavy workloads —
-  /// nearly every query a novel class — pay the semiclass-key derivation
-  /// on every miss and never collect a hit, making the memo a pure tax;
-  /// the probation window detects that shape and routes straight to the
-  /// canonicalizer. 0 disables the bypass (the memo always probes).
-  std::uint64_t memo_probation_probes = 1024;
-  /// Minimum memo hits inside the probation window that keep the memo
-  /// enabled (~1.5% of the default window).
-  std::uint64_t memo_probation_min_hits = 16;
 };
 
 /// The immutable read tiers of one epoch: the base segment plus the delta
@@ -393,8 +383,8 @@ class ClassStore {
   /// then the base segment. No canonicalization, no cache.
   [[nodiscard]] std::optional<StoreRecord> find_canonical(const TruthTable& canonical) const;
 
-  /// Index probe returning only the class id — the batch-engine hot path;
-  /// skips record materialization on every tier.
+  /// Index probe returning only the class id; skips record
+  /// materialization on every tier.
   [[nodiscard]] std::optional<std::uint32_t> find_class_id(const TruthTable& canonical) const;
 
   /// Fast-front probe by the query function itself; never canonicalizes.
@@ -403,8 +393,8 @@ class ClassStore {
   [[nodiscard]] std::optional<StoreLookupResult> probe_cache(const TruthTable& f) const;
 
   /// Full read-only lookup through the tier walk (see the file comment):
-  /// fast front, memo, canonicalize, index — warming the slot, or the cache
-  /// and memo, on a hit. nullopt if the class is not in the store; a miss
+  /// fast front, memo or canonicalize, index — warming the slot, or the
+  /// cache and memo, on a hit. nullopt if the class is not in the store; a miss
   /// fills nothing.
   [[nodiscard]] std::optional<StoreLookupResult> lookup(const TruthTable& f) const;
 
@@ -426,7 +416,7 @@ class ClassStore {
 
   // -- semiclass memo --------------------------------------------------------
 
-  /// Lookups resolved by the semiclass memo (LookupSource::kMemo).
+  /// Memo probes that found the query's class (LookupSource::kMemo).
   [[nodiscard]] std::uint64_t num_memo_hits() const noexcept
   {
     return memo_hits_.load(std::memory_order_relaxed);
@@ -445,8 +435,9 @@ class ClassStore {
   {
     return memo_probes_.load(std::memory_order_relaxed);
   }
-  /// True once the probation window closed the memo tier (see
-  /// ClassStoreOptions::memo_probation_probes). Sticky for the store's
+  /// True once the probation window closed the memo: after its first
+  /// kMemoProbationProbes probes (class_store.cpp) the memo had scored
+  /// fewer than kMemoProbationMinHits hits. Sticky for the store's
   /// lifetime; lookups skip key derivation, probe and insert from then on.
   [[nodiscard]] bool memo_bypassed() const noexcept
   {
@@ -460,7 +451,7 @@ class ClassStore {
     NpnTransform to_representative;
   };
 
-  /// The memtable (tier 2): live misses with append_on_miss, hash-indexed
+  /// The memtable: live misses with append_on_miss, hash-indexed
   /// by canonical form; sealed into a delta run by flush_delta(). Only gate
   /// holders mutate it; the mutex lets readers probe it concurrently, and
   /// is held for single map operations only — never across I/O.
@@ -468,26 +459,6 @@ class ClassStore {
     mutable std::mutex mutex;
     std::vector<StoreRecord> records;
     std::unordered_map<TruthTable, std::uint32_t, TruthTableHash> index;
-  };
-
-  /// One memoized class: the resolved store record plus the precomputed
-  /// matcher keys of its canonical form. Immutable once published; buckets
-  /// hold shared_ptrs so a probe verifies candidates with no lock held.
-  struct MemoEntry {
-    StoreRecord record;
-    NpnMatchKeys keys;
-  };
-
-  /// The semiclass memo (tier 2): resolved classes bucketed by the
-  /// NPN-invariant semiclass key. Guarded by its own mutex, held for map
-  /// operations only — matcher probes and key derivation run outside it
-  /// (lock order: gate before memo, never the reverse).
-  struct SemiclassMemo {
-    mutable std::mutex mutex;
-    std::unordered_map<SemiclassKey, std::vector<std::shared_ptr<const MemoEntry>>,
-                       SemiclassKeyHash>
-        buckets;
-    std::size_t entries = 0;
   };
 
   /// What the resolve step does when no tier knows the class: lookup()
@@ -524,29 +495,22 @@ class ClassStore {
   void reset_base(std::shared_ptr<const Segment> base);
   /// Memtable probe under its mutex; copies the record out.
   [[nodiscard]] std::optional<StoreRecord> memtable_find(const TruthTable& canonical) const;
-  /// Memo probe: copies f's bucket out under the memo mutex, then confirms
-  /// membership with the Boolean matcher lock-free. nullopt when the memo is
-  /// disabled or holds no equivalent class.
-  [[nodiscard]] std::optional<StoreLookupResult> memo_probe(const TruthTable& f,
-                                                            const SemiclassKey& key) const;
-  /// Memoizes a resolved class under `key` (dedup by canonical form;
-  /// wholesale clear on overflow). No-op when the memo is disabled.
-  void memo_insert(const SemiclassKey& key, const StoreRecord& record) const;
   /// probe_cache() that also hands back f's norm-table entry at width <= 4,
   /// so the canonicalize step of a cold slot needs no second table load.
   [[nodiscard]] std::optional<StoreLookupResult> fast_front(const TruthTable& f,
                                                             Npn4Result& table) const;
   /// The tier walk behind lookup() and lookup_or_classify(): fast front,
-  /// memo, canonicalize, resolve. Returns nullopt only under kNone.
+  /// memo or canonicalize, resolve. Returns nullopt only under kNone.
   [[nodiscard]] std::optional<StoreLookupResult> walk(const TruthTable& f,
                                                       MissPolicy miss) const;
-  /// The resolve step: index probe, then the miss policy. A hit, or an
+  /// The resolve step: index probe, then the miss policy. An index hit
+  /// reports `hit_source` (which step produced `canon`). A hit, or an
   /// appended live miss, warms the slot of a non-null `npn4_class` or else
   /// the cache and (under a non-null `key`) the memo; transient misses
   /// warm nothing, so they keep reporting known=false.
   [[nodiscard]] std::optional<StoreLookupResult> resolve(const TruthTable& f,
                                                          const CanonResult& canon,
-                                                         MissPolicy miss,
+                                                         MissPolicy miss, LookupSource hit_source,
                                                          const SemiclassKey* key,
                                                          const std::size_t* npn4_class) const;
   /// The learning half of resolve(): publishes `record` to the slot of a
@@ -595,12 +559,13 @@ class ClassStore {
   /// registry: stable forever, shared by stores of the same width, copied
   /// wholesale on move.
   std::array<obs::LatencyHistogram*, 6> lookup_latency_{};
-  /// The store gate: publishes the TierSnapshot epochs (tiers 3 + 4) and
+  /// The store gate: publishes the TierSnapshot epochs (delta runs + base) and
   /// serializes mutators. unique_ptr so the store stays movable.
   std::unique_ptr<StoreGate<TierSnapshot>> gate_;
   bool mmap_backed_ = false;
   std::unique_ptr<Memtable> memtable_;
-  /// The semiclass memo (tier 2). unique_ptr so the store stays movable;
+  /// The semiclass memo; null at width <= 4 (the table answers) or when
+  /// semiclass_memo_capacity is 0. unique_ptr so the store stays movable;
   /// memoization mutates it from const lookups (like the hot cache).
   std::unique_ptr<SemiclassMemo> memo_;
   mutable std::atomic<std::uint64_t> memo_hits_{0};
@@ -613,8 +578,8 @@ class ClassStore {
   /// stays movable (slot atomics are not).
   std::unique_ptr<Npn4Slots> npn4_;
   /// Live-transient classes (non-appending misses), keyed by canonical form.
-  /// Never visible to find_canonical() or the hot cache, so the batch
-  /// engine's store keys stay consistent. Gate holders only. mutable (like
+  /// Never visible to find_canonical() or the hot cache, so an index probe
+  /// never reports a class nobody appended. Gate holders only. mutable (like
   /// next_class_id_) because the const walk() writes both in its live step,
   /// which only the non-const lookup_or_classify() reaches.
   mutable std::unordered_map<TruthTable, StoreRecord, TruthTableHash> miss_records_;

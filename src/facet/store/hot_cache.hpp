@@ -5,8 +5,8 @@
 /// functions recur across mapped circuits), so the store keeps a bounded
 /// function -> lookup-result cache in front of the canonicalize-and-search
 /// path. The cache is sharded by key hash: each shard owns its own mutex,
-/// hash index and LRU list, so concurrent readers (e.g. the batch engine's
-/// worker threads probing the store) contend only within a shard. Eviction
+/// hash index and LRU list, so concurrent readers (e.g. the server's
+/// event loops probing one store) contend only within a shard. Eviction
 /// is per-shard LRU, which approximates global LRU well once the key hash
 /// spreads the load.
 ///

@@ -64,8 +64,8 @@ class Segment {
   /// Binary search by canonical form; nullopt when absent.
   [[nodiscard]] virtual std::optional<StoreRecord> find(const TruthTable& canonical) const = 0;
 
-  /// Binary search returning only the class id — the batch-engine hot
-  /// path. Neither flavor materializes a record for this.
+  /// Binary search returning only the class id. Neither flavor
+  /// materializes a record for this.
   [[nodiscard]] virtual std::optional<std::uint32_t> find_class_id(
       const TruthTable& canonical) const = 0;
 };

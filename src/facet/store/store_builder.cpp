@@ -27,7 +27,6 @@ ClassStore build_class_store(std::span<const TruthTable> funcs, const StoreBuild
 
   BatchEngineOptions engine_options;
   engine_options.num_threads = options.num_threads;
-  engine_options.num_shards = options.num_shards;
   BatchEngine engine{ClassifierKind::kExhaustive, engine_options};
   const ClassificationResult result = engine.classify(funcs, options.stats);
 

@@ -2,11 +2,13 @@
 /// \brief Builds a ClassStore from a dataset via the parallel BatchEngine.
 ///
 /// Classification runs on BatchEngine{kExhaustive} (exact canonical classes,
-/// dense ids by first occurrence), then one exact canonicalization with a
-/// witnessing transform per class — fanned out over the worker pool —
-/// produces the store records. The resulting store answers lookups with the
-/// exact class ids, sizes and partition the engine would produce on the
-/// build dataset.
+/// dense ids by first occurrence; each shard's SemiclassMemo spares a new
+/// member of a seen class its canonicalization), then one exact
+/// canonicalization with a witnessing transform per class — fanned out over
+/// the worker pool — produces the store records. The resulting store answers
+/// lookups with the exact class ids, sizes and partition the engine would
+/// produce on the build dataset. The store depends on the engine here, never
+/// the other way around: nothing under engine/ includes store/.
 
 #pragma once
 
@@ -20,8 +22,6 @@ namespace facet {
 struct StoreBuildOptions {
   /// Worker threads for classification and canonicalization (0 = all cores).
   std::size_t num_threads = 0;
-  /// Shard count forwarded to the BatchEngine (0 = engine default).
-  std::size_t num_shards = 0;
   /// Options of the produced store (hot-cache sizing).
   ClassStoreOptions store{};
   /// Optional telemetry of the underlying engine run.

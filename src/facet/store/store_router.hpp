@@ -5,10 +5,9 @@
 /// One `.fcs` index holds one function width, but production NPN lookup —
 /// mappers enumerating cuts of mixed sizes — queries many widths through a
 /// single session. A StoreRouter owns one ClassStore per width n and
-/// dispatches every query by `num_vars`, so the batch engine
-/// (BatchEngine::attach_router), the serve dispatcher (store/serve.hpp) and
-/// the CLI (`facet_cli serve --route`) talk to one object regardless of how many
-/// widths are indexed.
+/// dispatches every query by `num_vars`, so the serve dispatcher
+/// (store/serve.hpp) and the CLI (`facet_cli serve --route`) talk to one
+/// object regardless of how many widths are indexed.
 ///
 /// Concurrency: the routing table is immutable once serving starts —
 /// attach()/open() run single-threaded at setup — and every routed store

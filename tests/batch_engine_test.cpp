@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <random>
 #include <stdexcept>
 #include <unordered_set>
 #include <vector>
@@ -18,6 +20,7 @@
 #include "facet/npn/fp_classifier.hpp"
 #include "facet/npn/hierarchical.hpp"
 #include "facet/npn/semi_canonical.hpp"
+#include "facet/npn/transform.hpp"
 #include "facet/tt/tt_generate.hpp"
 
 namespace facet {
@@ -193,19 +196,30 @@ TEST(BatchEngine, DuplicateHeavyInputHitsTheCache)
   EXPECT_EQ(again.cache_hits, funcs.size());
 }
 
-TEST(BatchEngine, MemoizationOffStillMatchesSequential)
+TEST(BatchEngine, MixedWidthExhaustiveBatchMatchesSequential)
 {
-  const auto funcs = make_random_dataset(5, 200, 3);
+  // The cut-enumeration regime: one batch holding widths 3..6, each
+  // function next to an NPN image of itself. Widths 5 and 6 run through the
+  // shards' semiclass memos, widths 3 and 4 through the NPN4 table, and the
+  // merged ids must still equal classify_exhaustive's bit for bit.
+  std::mt19937_64 rng{0x40c7e2ULL};
+  std::vector<TruthTable> funcs;
+  for (int n = 3; n <= 6; ++n) {
+    for (int i = 0; i < 30; ++i) {
+      const TruthTable f = tt_random(n, rng);
+      funcs.push_back(f);
+      funcs.push_back(apply_transform(f, NpnTransform::random(n, rng)));
+    }
+  }
+  std::shuffle(funcs.begin(), funcs.end(), rng);
+
   BatchEngineOptions options;
-  options.num_threads = 4;
-  options.memoize = false;
-  BatchEngine engine{ClassifierKind::kHierarchical, options};
-  expect_identical(engine.classify(funcs), classify_hierarchical(funcs));
-  // With memoization off the second call recomputes everything.
-  BatchEngineStats stats;
-  (void)engine.classify(funcs, &stats);
-  EXPECT_EQ(stats.cache_hits + stats.cache_misses, funcs.size());
-  EXPECT_GT(stats.cache_misses, 0u);
+  options.num_threads = 2;
+  BatchEngine engine{ClassifierKind::kExhaustive, options};
+  const ClassificationResult expected = classify_exhaustive(funcs);
+  expect_identical(engine.classify(funcs), expected);
+  // A warm second call answers from the caches and still matches.
+  expect_identical(engine.classify(funcs), expected);
 }
 
 TEST(BatchEngine, FpKindsBuildEachMsvOnceAndMatchSequential)

@@ -1,7 +1,7 @@
 /// Tests of the persistent NPN class store: build / save / load round-trips
 /// against live BatchEngine classification on randomized datasets, corrupted
-/// and version-mismatched file rejection, the hot cache, the live fallback
-/// tier, and the store-backed BatchEngine fast path.
+/// and version-mismatched file rejection, the hot cache, the semiclass memo
+/// tier and the live fallback tier.
 
 #include "facet/store/class_store.hpp"
 
@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "facet/engine/batch_engine.hpp"
 #include "facet/npn/exact_canon.hpp"
 #include "facet/npn/exact_classifier.hpp"
 #include "facet/npn/transform.hpp"
@@ -508,49 +507,6 @@ TEST(ClassStore, WidthMismatchesAreRejected)
   ClassStore store{4};
   EXPECT_THROW((void)store.lookup(TruthTable{5}), std::invalid_argument);
   EXPECT_THROW((void)store.lookup_or_classify(TruthTable{3}), std::invalid_argument);
-}
-
-TEST(BatchEngineStore, FastPathIsBitIdenticalAndCountsHits)
-{
-  const int n = 5;
-  const auto warm_half = make_npn_workload(n, 25, 3, 0x600dULL);
-  auto workload = warm_half;
-  const auto extra = make_npn_workload(n, 25, 3, 0xbad5ULL);
-  workload.insert(workload.end(), extra.begin(), extra.end());
-
-  ClassStore store = build_class_store(warm_half, {});
-  // Warm the hot cache with some direct lookups.
-  for (std::size_t i = 0; i < warm_half.size(); i += 3) {
-    (void)store.lookup(warm_half[i]);
-  }
-
-  BatchEngineOptions options;
-  options.num_threads = 2;
-  BatchEngine engine{ClassifierKind::kExhaustive, options};
-  engine.attach_store(&store);
-
-  BatchEngineStats stats;
-  const ClassificationResult with_store = engine.classify(workload, &stats);
-  const ClassificationResult expected = classify_exhaustive(workload);
-  EXPECT_EQ(with_store.num_classes, expected.num_classes);
-  EXPECT_EQ(with_store.class_of, expected.class_of);
-  EXPECT_GT(stats.store_cache_hits + stats.store_index_hits, 0u);
-
-  // Detached, the engine still matches (and no store hits are reported).
-  engine.attach_store(nullptr);
-  engine.clear_cache();
-  BatchEngineStats plain_stats;
-  const ClassificationResult plain = engine.classify(workload, &plain_stats);
-  EXPECT_EQ(plain.class_of, expected.class_of);
-  EXPECT_EQ(plain_stats.store_cache_hits, 0u);
-  EXPECT_EQ(plain_stats.store_index_hits, 0u);
-}
-
-TEST(BatchEngineStore, AttachRejectsNonExhaustiveKinds)
-{
-  ClassStore store{4};
-  BatchEngine engine{ClassifierKind::kFp};
-  EXPECT_THROW(engine.attach_store(&store), std::invalid_argument);
 }
 
 /// Appends `count` genuinely-new classes to `store`; returns them.

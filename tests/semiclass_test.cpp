@@ -10,9 +10,10 @@
 ///  * the 4-argument npn_match(f, f_keys, g, g_keys) overload is
 ///    bit-identical to the 2-argument matcher on equivalent and
 ///    inequivalent pairs alike.
-///  * bucket-constrained classification (group by key, complete matcher
-///    within the bucket) reproduces classify_exhaustive's ids exactly —
-///    the correctness argument of the memo tier, minus the store.
+///  * SemiclassMemo — the memo the store and the batch engine share —
+///    reproduces classify_exhaustive's ids exactly, also through capacity
+///    overflows and under four racing threads; its inserts dedup and its
+///    hits carry valid witnesses.
 ///  * the branch-and-bound canonicalizer agrees with the unpruned orbit
 ///    walk, with valid witnesses — the soundness floor under the memo's
 ///    canonicalization savings.
@@ -22,9 +23,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <random>
+#include <string>
+#include <thread>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "facet/npn/exact_canon.hpp"
@@ -203,49 +208,186 @@ TEST(SemiclassMatcher, KeyedOverloadAgreesWithTwoArgOnRandomPairs)
   EXPECT_GT(matched, 0);
 }
 
+/// `count` random classes of width n, each as its base function plus
+/// `images` random NPN images, shuffled.
+std::vector<TruthTable> class_workload(int n, int count, int images, std::mt19937_64& rng)
+{
+  std::vector<TruthTable> funcs;
+  for (int b = 0; b < count; ++b) {
+    const TruthTable base = tt_random(n, rng);
+    funcs.push_back(base);
+    for (int k = 0; k < images; ++k) {
+      funcs.push_back(apply_transform(base, NpnTransform::random(n, rng)));
+    }
+  }
+  std::shuffle(funcs.begin(), funcs.end(), rng);
+  return funcs;
+}
+
+/// The canonical form of `f` the way the store and the batch engine get it:
+/// a memo hit (whose witness must map f onto it), else the exact
+/// canonicalizer, memoized. Counts the hits.
+TruthTable canonical_through(SemiclassMemo& memo, const TruthTable& f, std::size_t& hits)
+{
+  const SemiclassKey key = semiclass_key(f);
+  if (const auto hit = memo.find(f, key)) {
+    EXPECT_EQ(apply_transform(f, hit->transform), hit->canonical);
+    ++hits;
+    return hit->canonical;
+  }
+  TruthTable canonical = exact_npn_canonical(f);
+  memo.insert(key, canonical);
+  return canonical;
+}
+
+/// Dense ids by first occurrence of each canonical form, checked against
+/// classify_exhaustive function by function. Returns the memo hits.
+std::size_t expect_exhaustive_ids(SemiclassMemo& memo, const std::vector<TruthTable>& funcs)
+{
+  const ClassificationResult expected = classify_exhaustive(funcs);
+  std::unordered_map<TruthTable, std::uint32_t, TruthTableHash> id_of;
+  std::size_t hits = 0;
+  for (std::size_t i = 0; i < funcs.size(); ++i) {
+    const TruthTable canonical = canonical_through(memo, funcs[i], hits);
+    const auto id = id_of.emplace(canonical, static_cast<std::uint32_t>(id_of.size())).first->second;
+    EXPECT_EQ(id, expected.class_of[i]) << "function " << i;
+  }
+  EXPECT_EQ(id_of.size(), expected.num_classes);
+  return hits;
+}
+
 TEST(SemiclassBucketing, BucketConstrainedClassificationMatchesExhaustive)
 {
-  // The memo tier's correctness argument, minus the store: group functions
-  // by semiclass key, run the complete matcher only within the bucket, and
-  // the resulting partition — with ids assigned in first-seen order — must
-  // be identical to classify_exhaustive's.
-  struct BucketEntry {
-    TruthTable rep;
-    NpnMatchKeys keys;
-    std::uint32_t id;
-  };
+  // The memo's correctness argument: group functions by semiclass key, run
+  // the complete matcher only within the bucket, and the resulting
+  // partition — with ids assigned in first-seen order — must be identical
+  // to classify_exhaustive's.
   std::mt19937_64 rng{0xb0caULL};
   for (int n = 3; n <= 6; ++n) {
-    std::vector<TruthTable> funcs;
-    for (int b = 0; b < 30; ++b) {
-      const TruthTable base = tt_random(n, rng);
-      funcs.push_back(base);
-      for (int k = 0; k < 3; ++k) {
-        funcs.push_back(apply_transform(base, NpnTransform::random(n, rng)));
-      }
-    }
-    std::shuffle(funcs.begin(), funcs.end(), rng);
-    const ClassificationResult expected = classify_exhaustive(funcs);
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const std::vector<TruthTable> funcs = class_workload(n, 30, 3, rng);
+    SemiclassMemo memo;
+    const std::size_t hits = expect_exhaustive_ids(memo, funcs);
+    // Every class was canonicalized once and memoized once; the rest hit.
+    EXPECT_EQ(memo.size() + hits, funcs.size());
+  }
+}
 
-    std::unordered_map<SemiclassKey, std::vector<BucketEntry>, SemiclassKeyHash> buckets;
-    std::uint32_t next_id = 0;
-    for (std::size_t i = 0; i < funcs.size(); ++i) {
-      auto& bucket = buckets[semiclass_key(funcs[i])];
-      const NpnMatchKeys f_keys = npn_match_keys(funcs[i]);
-      std::uint32_t id = 0xffffffffU;
-      for (const auto& entry : bucket) {
-        if (npn_match(funcs[i], f_keys, entry.rep, entry.keys).has_value()) {
-          id = entry.id;
-          break;
-        }
+TEST(SemiclassMemo, CapacityOverflowClearsWholesaleAndRelearns)
+{
+  std::mt19937_64 rng{0xf10eULL};
+  const std::vector<TruthTable> funcs = class_workload(5, 40, 3, rng);
+  SemiclassMemo memo{7};
+  std::size_t hits = 0;
+  std::size_t clears = 0;
+  for (const TruthTable& f : funcs) {
+    const std::size_t before = memo.size();
+    (void)canonical_through(memo, f, hits);
+    EXPECT_LE(memo.size(), 7u);
+    clears += memo.size() < before ? 1 : 0;
+  }
+  EXPECT_GT(clears, 0u);
+  EXPECT_GT(hits, 0u);
+  // Ids stay exact through any number of clears.
+  expect_exhaustive_ids(memo, funcs);
+  memo.clear();
+  EXPECT_EQ(memo.size(), 0u);
+}
+
+TEST(SemiclassMemo, DuplicateInsertDedupsByCanonicalForm)
+{
+  std::mt19937_64 rng{0xd0d0ULL};
+  const TruthTable f = tt_random(6, rng);
+  const TruthTable image = apply_transform(f, NpnTransform::random(6, rng));
+  const TruthTable canonical = exact_npn_canonical(f);
+  SemiclassMemo memo;
+  memo.insert(semiclass_key(f), canonical);
+  memo.insert(semiclass_key(f), canonical);
+  memo.insert(semiclass_key(image), exact_npn_canonical(image));
+  EXPECT_EQ(memo.size(), 1u);
+
+  TruthTable other = tt_random(6, rng);
+  while (exact_npn_canonical(other) == canonical) {
+    other = tt_random(6, rng);
+  }
+  memo.insert(semiclass_key(other), exact_npn_canonical(other));
+  EXPECT_EQ(memo.size(), 2u);
+}
+
+TEST(SemiclassMemo, HitWitnessMapsTheQueryOntoTheCanonicalForm)
+{
+  std::mt19937_64 rng{0x1157ULL};
+  for (int n = 5; n <= 7; ++n) {
+    SemiclassMemo memo;
+    for (int b = 0; b < 8; ++b) {
+      const TruthTable base = tt_random(n, rng);
+      const TruthTable canonical = exact_npn_canonical(base);
+      memo.insert(semiclass_key(base), canonical);
+      for (int k = 0; k < 4; ++k) {
+        const TruthTable image = apply_transform(base, NpnTransform::random(n, rng));
+        const auto hit = memo.find(image, semiclass_key(image));
+        ASSERT_TRUE(hit.has_value()) << "n=" << n;
+        EXPECT_EQ(hit->canonical, canonical);
+        EXPECT_EQ(apply_transform(image, hit->transform), hit->canonical);
       }
-      if (id == 0xffffffffU) {
-        id = next_id++;
-        bucket.push_back(BucketEntry{funcs[i], f_keys, id});
-      }
-      ASSERT_EQ(id, expected.class_of[i]) << "n=" << n << " function " << i;
     }
-    EXPECT_EQ(next_id, expected.num_classes);
+    // A random function almost surely has no memoized class; if it does,
+    // the answer must still be its canonical form.
+    const TruthTable stranger = tt_random(n, rng);
+    if (const auto hit = memo.find(stranger, semiclass_key(stranger))) {
+      EXPECT_EQ(hit->canonical, exact_npn_canonical(stranger));
+    }
+  }
+}
+
+TEST(SemiclassMemo, ConcurrentFindAndInsertAgreeWithTheCanonicalizer)
+{
+  // Four threads resolve one workload in different orders through one memo:
+  // every answer must be the exact canonical form with a valid witness, and
+  // each class must end up memoized once. The bounded run also clears the
+  // memo under the other threads' finds.
+  std::mt19937_64 rng{0xc0c0ULL};
+  const std::vector<TruthTable> funcs = class_workload(5, 24, 3, rng);
+  std::vector<TruthTable> expected;
+  std::unordered_set<TruthTable, TruthTableHash> classes;
+  for (const TruthTable& f : funcs) {
+    expected.push_back(exact_npn_canonical(f));
+    classes.insert(expected.back());
+  }
+  for (const std::size_t capacity : {SemiclassMemo::kUnbounded, std::size_t{5}}) {
+    SemiclassMemo memo{capacity};
+    std::atomic<int> wrong{0};
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < 4; ++t) {
+      threads.emplace_back([&, t] {
+        for (std::size_t k = 0; k < funcs.size(); ++k) {
+          const std::size_t i = (k * (2 * t + 1) + t * 7) % funcs.size();
+          const SemiclassKey key = semiclass_key(funcs[i]);
+          TruthTable canonical;
+          if (const auto hit = memo.find(funcs[i], key)) {
+            if (apply_transform(funcs[i], hit->transform) != hit->canonical) {
+              wrong.fetch_add(1);
+            }
+            canonical = hit->canonical;
+          } else {
+            canonical = exact_npn_canonical(funcs[i]);
+            memo.insert(key, canonical);
+          }
+          if (canonical != expected[i]) {
+            wrong.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (auto& thread : threads) {
+      thread.join();
+    }
+    EXPECT_EQ(wrong.load(), 0);
+    if (capacity == SemiclassMemo::kUnbounded) {
+      EXPECT_EQ(memo.size(), classes.size());
+    } else {
+      EXPECT_LE(memo.size(), capacity);
+    }
   }
 }
 

@@ -1,5 +1,4 @@
-/// Tests of the multi-width store federation: StoreRouter dispatch, the
-/// router-backed BatchEngine fast path on mixed-width workloads, and the
+/// Tests of the multi-width store federation: StoreRouter dispatch and the
 /// fcs-merge union (dedup by canonical form, renumber by first occurrence).
 
 #include "facet/store/store_router.hpp"
@@ -13,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "facet/engine/batch_engine.hpp"
 #include "facet/npn/exact_classifier.hpp"
 #include "facet/npn/transform.hpp"
 #include "facet/store/merge.hpp"
@@ -114,52 +112,6 @@ TEST(StoreRouter, OpenRestoresEveryWidthFromDisk)
   for (const auto& path : paths) {
     std::remove(path.c_str());
   }
-}
-
-TEST(StoreRouter, BatchEngineRouterFastPathIsBitIdenticalOnMixedWidths)
-{
-  // A mixed-width workload — the cut-enumeration regime the router exists
-  // for. The router-backed engine must reproduce the sequential
-  // classifier's ids bit for bit while resolving most functions through
-  // the per-width stores.
-  std::mt19937_64 rng{0x40c7e2ULL};
-  std::vector<std::vector<TruthTable>> datasets;
-  StoreRouter router = make_router(4, 6, 0x40c7e3ULL, &datasets);
-
-  std::vector<TruthTable> workload;
-  for (const auto& funcs : datasets) {
-    for (const auto& f : funcs) {
-      workload.push_back(f);
-      workload.push_back(apply_transform(f, NpnTransform::random(f.num_vars(), rng)));
-    }
-  }
-  // Plus functions of a width the router does not serve at all.
-  for (const auto& f : random_funcs(3, 20, 0x40c7e4ULL)) {
-    workload.push_back(f);
-  }
-  std::shuffle(workload.begin(), workload.end(), rng);
-
-  BatchEngineOptions options;
-  options.num_threads = 2;
-  BatchEngine engine{ClassifierKind::kExhaustive, options};
-  engine.attach_router(&router);
-  EXPECT_EQ(engine.attached_router(), &router);
-
-  BatchEngineStats stats;
-  const ClassificationResult with_router = engine.classify(workload, &stats);
-  const ClassificationResult expected = classify_exhaustive(workload);
-  EXPECT_EQ(with_router.num_classes, expected.num_classes);
-  EXPECT_EQ(with_router.class_of, expected.class_of);
-  EXPECT_GT(stats.store_cache_hits + stats.store_index_hits, 0u);
-
-  // Detached, the engine still matches.
-  engine.attach_router(nullptr);
-  engine.clear_cache();
-  const ClassificationResult plain = engine.classify(workload);
-  EXPECT_EQ(plain.class_of, expected.class_of);
-
-  BatchEngine fp_engine{ClassifierKind::kFp};
-  EXPECT_THROW(fp_engine.attach_router(&router), std::invalid_argument);
 }
 
 // -- fcs-merge ---------------------------------------------------------------
