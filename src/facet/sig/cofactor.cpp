@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <stdexcept>
+#include <vector>
 
 namespace facet {
 
@@ -83,10 +84,11 @@ void cofactor_counts_into(const TruthTable& tt, std::span<const int> vars, std::
       in_word[in_word_size++] = k;
     }
   }
-  // Precompute the word mask and assignment bits of each in-word assignment.
+  // Precompute the word mask and assignment bits of each in-word assignment;
+  // only the first 2^in_word_size entries are written or read.
   const std::size_t in_count = std::size_t{1} << in_word_size;
-  std::array<std::uint64_t, 64> in_mask{};
-  std::array<std::uint32_t, 64> in_bits{};
+  std::array<std::uint64_t, 64> in_mask;
+  std::array<std::uint32_t, 64> in_bits;
   for (std::size_t a = 0; a < in_count; ++a) {
     std::uint64_t mask = low;
     std::uint32_t bits = 0;
@@ -121,6 +123,39 @@ void cofactor_counts_into(const TruthTable& tt, std::span<const int> vars, std::
   }
 }
 
+/// Sorts `values` in place by counting. Every entry is a cofactor satisfy
+/// count, bounded by its face size `bound`, so one histogram pass over
+/// [0, bound] and one expansion pass replace a comparison sort. The
+/// histogram sits on the stack up to a bound of 256 (n <= 9 at ℓ = 1,
+/// n <= 10 at ℓ = 2) and on the heap beyond.
+void counting_sort(std::span<std::uint32_t> values, std::uint32_t bound)
+{
+  constexpr std::size_t kStackBins = 257;
+  const std::size_t bins_size = std::size_t{bound} + 1;
+  std::array<std::uint32_t, kStackBins> stack_bins;
+  std::vector<std::uint32_t> heap_bins;
+  std::uint32_t* bins = stack_bins.data();
+  if (bins_size <= kStackBins) {
+    std::fill_n(bins, bins_size, 0u);
+  } else {
+    heap_bins.assign(bins_size, 0u);
+    bins = heap_bins.data();
+  }
+  for (const std::uint32_t v : values) {
+    ++bins[v];
+  }
+  auto out = values.begin();
+  for (std::uint32_t v = 0; v <= bound; ++v) {
+    out = std::fill_n(out, bins[v], v);
+  }
+}
+
+/// Face size 2^(n - ell): the bound of every ell-ary cofactor count.
+[[nodiscard]] std::uint32_t face_size(int n, int ell) noexcept
+{
+  return std::uint32_t{1} << (n - ell);
+}
+
 }  // namespace
 
 std::vector<std::uint32_t> cofactor_counts(const TruthTable& tt, std::span<const int> vars)
@@ -130,15 +165,98 @@ std::vector<std::uint32_t> cofactor_counts(const TruthTable& tt, std::span<const
   return counts;
 }
 
+std::size_t ocv_size(int n, int ell) noexcept
+{
+  std::size_t entries = std::size_t{1} << ell;
+  for (int i = 0; i < ell; ++i) {
+    entries = entries * static_cast<std::size_t>(n - i) / static_cast<std::size_t>(i + 1);
+  }
+  return entries;
+}
+
+void ocv12_into(const TruthTable& tt, std::uint32_t* ocv1_out, std::uint32_t* ocv2_out)
+{
+  const int n = tt.num_vars();
+  if (ocv2_out != nullptr && n < 2) {
+    throw std::invalid_argument("ocv12_into: OCV2 needs at least two variables");
+  }
+  const auto un = static_cast<std::size_t>(n);
+  const auto words = tt.words();
+  const int in_word = std::min(n, kVarsPerWord);
+  const bool pairs = ocv2_out != nullptr;
+
+  // c1[i] = |f x_i|; c11[i * n + j] = |f x_i x_j| for i < j. The excess-bit
+  // invariant keeps f's unused high bits zero for n < 6, so f ∧ x_i needs no
+  // low mask.
+  std::array<std::uint32_t, kMaxVars> c1{};
+  std::array<std::uint32_t, kMaxVars * kMaxVars> c11;
+  if (pairs) {
+    std::fill_n(c11.begin(), un * un, 0u);
+  }
+  std::uint32_t total = 0;
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    const std::uint64_t f = words[w];
+    const auto count = static_cast<std::uint32_t>(popcount64(f));
+    total += count;
+    std::array<std::uint32_t, kVarsPerWord> fi_count{};
+    for (int i = 0; i < in_word; ++i) {
+      const std::uint64_t fi = f & kVarMask[static_cast<std::size_t>(i)];
+      fi_count[static_cast<std::size_t>(i)] = static_cast<std::uint32_t>(popcount64(fi));
+      c1[static_cast<std::size_t>(i)] += fi_count[static_cast<std::size_t>(i)];
+      if (pairs) {
+        for (int j = i + 1; j < in_word; ++j) {
+          c11[static_cast<std::size_t>(i) * un + static_cast<std::size_t>(j)] +=
+              static_cast<std::uint32_t>(popcount64(fi & kVarMask[static_cast<std::size_t>(j)]));
+        }
+      }
+    }
+    // A cross-word variable x_j is constant on a word (bit j - 6 of its
+    // index): where it is 1 the word adds |f| to c1[j] and |f_i| to c11[i, j].
+    for (int j = kVarsPerWord; j < n; ++j) {
+      if (((w >> (j - kVarsPerWord)) & 1u) == 0) {
+        continue;
+      }
+      c1[static_cast<std::size_t>(j)] += count;
+      if (pairs) {
+        std::uint32_t* column = c11.data() + static_cast<std::size_t>(j);
+        for (int i = 0; i < kVarsPerWord; ++i) {
+          column[static_cast<std::size_t>(i) * un] += fi_count[static_cast<std::size_t>(i)];
+        }
+        for (int i = kVarsPerWord; i < j; ++i) {
+          if ((w >> (i - kVarsPerWord)) & 1u) {
+            column[static_cast<std::size_t>(i) * un] += count;
+          }
+        }
+      }
+    }
+  }
+
+  if (ocv1_out != nullptr && n > 0) {
+    for (std::size_t i = 0; i < un; ++i) {
+      ocv1_out[2 * i] = total - c1[i];
+      ocv1_out[2 * i + 1] = c1[i];
+    }
+    counting_sort({ocv1_out, 2 * un}, face_size(n, 1));
+  }
+  if (pairs) {
+    std::uint32_t* out = ocv2_out;
+    for (std::size_t i = 0; i < un; ++i) {
+      for (std::size_t j = i + 1; j < un; ++j) {
+        const std::uint32_t both = c11[i * un + j];
+        *out++ = total - c1[i] - c1[j] + both;  // x_i = 0, x_j = 0
+        *out++ = c1[i] - both;                  // x_i = 1, x_j = 0
+        *out++ = c1[j] - both;                  // x_i = 0, x_j = 1
+        *out++ = both;                          // x_i = 1, x_j = 1
+      }
+    }
+    counting_sort({ocv2_out, ocv_size(n, 2)}, face_size(n, 2));
+  }
+}
+
 std::vector<std::uint32_t> ocv1(const TruthTable& tt)
 {
-  std::vector<std::uint32_t> v;
-  v.reserve(2u * static_cast<unsigned>(tt.num_vars()));
-  for (int i = 0; i < tt.num_vars(); ++i) {
-    v.push_back(cofactor_count(tt, i, false));
-    v.push_back(cofactor_count(tt, i, true));
-  }
-  std::sort(v.begin(), v.end());
+  std::vector<std::uint32_t> v(ocv_size(tt.num_vars(), 1));
+  ocv12_into(tt, v.data(), nullptr);
   return v;
 }
 
@@ -179,19 +297,22 @@ std::vector<std::uint32_t> ocv(const TruthTable& tt, int ell)
   if (ell == 0) {
     return {static_cast<std::uint32_t>(satisfy_count(tt))};
   }
-  // C(n, ell) * 2^ell entries, written in place subset by subset and
-  // sorted once: the result vector is the only allocation.
-  std::size_t entries = std::size_t{1} << ell;
-  for (int i = 0; i < ell; ++i) {
-    entries = entries * static_cast<std::size_t>(n - i) / static_cast<std::size_t>(i + 1);
+  if (ell == 1) {
+    return ocv1(tt);
   }
-  std::vector<std::uint32_t> v(entries, 0);
+  std::vector<std::uint32_t> v(ocv_size(n, ell), 0);
+  if (ell == 2) {
+    ocv12_into(tt, nullptr, v.data());
+    return v;
+  }
+  // ℓ >= 3: C(n, ℓ) * 2^ℓ entries, written in place subset by subset and
+  // sorted once: the result vector is the only allocation below n = 12.
   std::uint32_t* next = v.data();
   for_each_subset(n, ell, [&](std::span<const int> subset) {
     cofactor_counts_into(tt, subset, next);
     next += std::size_t{1} << ell;
   });
-  std::sort(v.begin(), v.end());
+  counting_sort(v, face_size(n, ell));
   return v;
 }
 

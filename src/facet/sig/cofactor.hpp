@@ -10,6 +10,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -33,12 +34,28 @@ namespace facet {
 /// the value assigned to vars[k].
 [[nodiscard]] std::vector<std::uint32_t> cofactor_counts(const TruthTable& tt, std::span<const int> vars);
 
+/// Number of entries of OCV_ℓ at width n: C(n, ℓ)·2^ℓ.
+[[nodiscard]] std::size_t ocv_size(int n, int ell) noexcept;
+
+/// OCV_1 and OCV_2 from one fused cofactor pass (the MSV kernel). Per word
+/// it forms f_i = f ∧ x_i once per variable and counts c1[i] = |f x_i| and
+/// c11[i,j] = |f_i ∧ x_j|. Every cofactor count follows from these and |f|:
+/// the pair (|f| − c1[i], c1[i]) for x_i, and c11, c1[i] − c11,
+/// c1[j] − c11, |f| − c1[i] − c1[j] + c11 for the pair (x_i, x_j). Each
+/// vector is then sorted by counting, its entries being bounded by the face
+/// size 2^(n−ℓ). Writes ocv_size(n, 1) entries to `ocv1_out` and
+/// ocv_size(n, 2) to `ocv2_out`; a null output is skipped (and skips the
+/// pair counts). `ocv2_out` must be null for n < 2.
+void ocv12_into(const TruthTable& tt, std::uint32_t* ocv1_out, std::uint32_t* ocv2_out);
+
 /// 1-ary ordered cofactor vector OCV_1 (Definition 6): the 2n cofactor
-/// satisfy counts, sorted in non-decreasing order.
+/// satisfy counts, sorted in non-decreasing order (ocv12_into).
 [[nodiscard]] std::vector<std::uint32_t> ocv1(const TruthTable& tt);
 
 /// ℓ-ary ordered cofactor vector OCV_ℓ: sorted satisfy counts of all
-/// C(n,ℓ)·2^ℓ cofactors of ℓ distinct variables.
+/// C(n,ℓ)·2^ℓ cofactors of ℓ distinct variables. ℓ = 1, 2 run the fused
+/// pass of ocv12_into; ℓ >= 3 counts each subset's cofactors and sorts by
+/// counting.
 [[nodiscard]] std::vector<std::uint32_t> ocv(const TruthTable& tt, int ell);
 
 /// Unsorted per-variable cofactor count pairs: entry i is

@@ -11,6 +11,11 @@
 /// Theorem 1: PN-equivalent functions have identical ordered influence
 /// vectors (and influence is also invariant under output negation, so OIV is
 /// a full NPN invariant).
+///
+/// The functions here compute each influence from its own difference mask
+/// d_i = f ⊕ flip_i(f). The MSV does not call them: it reads the same
+/// popcount(d_i)/2 from SensitivityProfile::influences() (sensitivity.hpp),
+/// whose bit planes are built from those masks anyway.
 
 #pragma once
 

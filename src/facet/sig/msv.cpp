@@ -1,6 +1,8 @@
 #include "facet/sig/msv.hpp"
 
 #include <algorithm>
+#include <cassert>
+#include <span>
 
 #include "facet/sig/cofactor.hpp"
 #include "facet/sig/influence.hpp"
@@ -46,20 +48,22 @@ std::string SignatureConfig::name() const
 
 namespace {
 
-void append_u32(std::vector<std::uint32_t>& msv, const std::vector<std::uint32_t>& v)
+std::uint32_t* write_u32(std::uint32_t* out, std::span<const std::uint32_t> v)
 {
-  msv.insert(msv.end(), v.begin(), v.end());
+  return std::copy(v.begin(), v.end(), out);
 }
 
-void append_u64(std::vector<std::uint32_t>& msv, const std::vector<std::uint64_t>& v)
+std::uint32_t* write_u64(std::uint32_t* out, const std::vector<std::uint64_t>& v)
 {
   for (const auto x : v) {
     // delta counts fit in 32 bits for n <= 16 (at most C(2^16, 2) < 2^32).
-    msv.push_back(static_cast<std::uint32_t>(x));
+    *out++ = static_cast<std::uint32_t>(x);
   }
+  return out;
 }
 
-/// MSV of one polarity candidate (PN-invariant by Theorems 1-4).
+/// Length of one polarity's raw MSV: it depends on n and the config only.
+/// OCV_ℓ's arity is capped at n, as build_raw_msv caps it.
 [[nodiscard]] std::size_t msv_capacity(int n, const SignatureConfig& config)
 {
   const std::size_t un = static_cast<std::size_t>(n);
@@ -68,10 +72,10 @@ void append_u64(std::vector<std::uint32_t>& msv, const std::vector<std::uint64_t
     cap += 1 + 2 * un;
   }
   if (config.use_ocv2) {
-    cap += un * (un - 1) * 2;
+    cap += ocv_size(n, std::min(2, n));
   }
   if (config.use_ocv3) {
-    cap += un * (un - 1) * (un - 2) / 6 * 8;
+    cap += ocv_size(n, std::min(3, n));
   }
   if (config.use_oiv) {
     cap += un;
@@ -88,40 +92,57 @@ void append_u64(std::vector<std::uint32_t>& msv, const std::vector<std::uint64_t
   return cap;
 }
 
-[[nodiscard]] std::vector<std::uint32_t> build_raw_msv(const TruthTable& g, const SignatureConfig& config)
+/// Writes the MSV of one polarity candidate g (PN-invariant by Theorems
+/// 1-4) to out[0, msv_capacity): OCV1 and OCV2 from one fused cofactor
+/// pass, OIV, OSV and OSDV from one sensitivity profile. `not_g` is ~g,
+/// built once by the caller for both polarities. Returns the end of the
+/// written range.
+std::uint32_t* build_raw_msv(const TruthTable& g, const TruthTable& not_g, const SignatureConfig& config,
+                             std::uint32_t* out)
 {
-  std::vector<std::uint32_t> msv;
-  msv.reserve(msv_capacity(g.num_vars(), config));
-
+  const int n = g.num_vars();
+  std::uint32_t* ocv1_out = nullptr;
+  std::uint32_t* ocv2_out = nullptr;
   if (config.use_ocv1) {
-    msv.push_back(static_cast<std::uint32_t>(satisfy_count(g)));
-    append_u32(msv, ocv1(g));
+    *out++ = static_cast<std::uint32_t>(satisfy_count(g));
+    ocv1_out = out;
+    out += ocv_size(n, 1);
   }
   if (config.use_ocv2) {
-    append_u32(msv, ocv(g, std::min(2, g.num_vars())));
+    if (n >= 2) {
+      ocv2_out = out;
+      out += ocv_size(n, 2);
+    } else {
+      out = write_u32(out, ocv(g, n));
+    }
+  }
+  if (ocv1_out != nullptr || ocv2_out != nullptr) {
+    ocv12_into(g, ocv1_out, ocv2_out);
   }
   if (config.use_ocv3) {
-    append_u32(msv, ocv(g, std::min(3, g.num_vars())));
-  }
-  if (config.use_oiv) {
-    append_u32(msv, oiv(g));
+    out = write_u32(out, ocv(g, std::min(3, n)));
   }
 
-  if (config.use_osv || config.use_osdv) {
+  if (config.use_oiv || config.use_osv || config.use_osdv) {
     const SensitivityProfile profile{g};
+    if (config.use_oiv) {
+      std::uint32_t* const oiv_out = out;
+      out = write_u32(out, profile.influences());
+      std::sort(oiv_out, out);
+    }
     if (config.use_osv) {
-      append_u32(msv, profile.histogram_within(~g));  // OSV0
-      append_u32(msv, profile.histogram_within(g));   // OSV1
+      out = write_u32(out, profile.histogram_within(not_g));  // OSV0
+      out = write_u32(out, profile.histogram_within(g));      // OSV1
     }
     if (config.use_osdv) {
-      append_u64(msv, osdv_within_from_profile(profile, ~g));  // OSDV0
-      append_u64(msv, osdv_within_from_profile(profile, g));   // OSDV1
+      out = write_u64(out, osdv_within_from_profile(profile, not_g));  // OSDV0
+      out = write_u64(out, osdv_within_from_profile(profile, g));      // OSDV1
     }
   }
   if (config.use_owv) {
-    append_u32(msv, owv(g));
+    out = write_u32(out, owv(g));
   }
-  return msv;
+  return out;
 }
 
 }  // namespace
@@ -130,19 +151,27 @@ std::vector<std::uint32_t> build_msv(const TruthTable& tt, const SignatureConfig
 {
   const std::uint64_t ones = tt.count_ones();
   const std::uint64_t half = tt.num_bits() / 2;
+  const std::size_t size = msv_capacity(tt.num_vars(), config);
+  const TruthTable complement = ~tt;
 
-  if (ones > half) {
-    return build_raw_msv(~tt, config);
-  }
-  if (ones < half) {
-    return build_raw_msv(tt, config);
+  // Unbalanced: the polarity with fewer 1-minterms.
+  const bool negate = ones > half;
+  std::vector<std::uint32_t> msv(size);
+  [[maybe_unused]] const std::uint32_t* end =
+      build_raw_msv(negate ? complement : tt, negate ? tt : complement, config, msv.data());
+  assert(end == msv.data() + size);
+  if (ones != half) {
+    return msv;
   }
   // Balanced: output polarity is not decidable from the satisfy count
   // (Theorems 3-4); take the lexicographically smaller MSV of the two
   // polarities so equivalent functions agree on the pairing.
-  auto a = build_raw_msv(tt, config);
-  auto b = build_raw_msv(~tt, config);
-  return a <= b ? a : b;
+  std::vector<std::uint32_t> negated(size);
+  build_raw_msv(complement, tt, config, negated.data());
+  if (negated < msv) {
+    msv.swap(negated);
+  }
+  return msv;
 }
 
 std::uint64_t msv_hash(const TruthTable& tt, const SignatureConfig& config)

@@ -16,6 +16,18 @@
 ///   both polarities. This refines the paper's "put the smaller vector in
 ///   OSV0" rule: minimizing the *whole* vector keeps the OSV/OSDV pairing of
 ///   Theorems 3-4 consistent across components.
+///
+/// The kernel shares work across families and writes each polarity
+/// into the result buffer, whose length is fixed by n and the config:
+/// * OCV1 and OCV2 come from one fused cofactor pass (ocv12_into in
+///   cofactor.hpp): per word, f_i = f ∧ x_i is formed once and
+///   c1[i] = |f x_i|, c11[i,j] = |f_i ∧ x_j| give every 1- and 2-cofactor
+///   count; each vector is sorted by counting, its entries being bounded by
+///   the face size 2^(n−ℓ);
+/// * OIV, OSV and OSDV come from one SensitivityProfile: the influences are
+///   popcount(d_i)/2 of the same difference masks d_i = f ⊕ flip_i(f) that
+///   the profile's bit planes are built from;
+/// * the complement ~f is built once per call and serves both polarities.
 
 #pragma once
 

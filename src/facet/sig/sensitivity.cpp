@@ -1,11 +1,11 @@
 #include "facet/sig/sensitivity.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cassert>
 
 #include "facet/tt/tt_generate.hpp"
-#include "facet/tt/tt_transform.hpp"
 
 namespace facet {
 
@@ -19,39 +19,49 @@ namespace {
 
 }  // namespace
 
-SensitivityProfile::SensitivityProfile(const TruthTable& tt) : num_vars_{tt.num_vars()}
+SensitivityProfile::SensitivityProfile(const TruthTable& tt)
+    : num_vars_{tt.num_vars()},
+      num_planes_{static_cast<std::size_t>(planes_for_vars(num_vars_))},
+      num_words_{tt.num_words()},
+      plane_words_(num_planes_ * num_words_, 0)
 {
-  const int planes = planes_for_vars(num_vars_);
-  planes_.assign(static_cast<std::size_t>(planes), TruthTable{num_vars_});
-
-  // Carry-save accumulation: add each difference mask d_i = f ^ flip_i(f)
-  // into the bit-sliced counter, one bit per point. The two scratch tables
-  // are recycled across variables (copy-assignment reuses their storage),
-  // keeping the hot path allocation-free after the first iteration.
-  TruthTable carry{num_vars_};
-  TruthTable tmp{num_vars_};
-  for (int i = 0; i < num_vars_; ++i) {
-    carry = tt;
-    flip_var_in_place(carry, i);
-    carry ^= tt;
-    for (auto& plane : planes_) {
-      if (carry.is_const0()) {
-        break;
+  // Carry-save accumulation, one word at a time: each difference mask word
+  // d_i = f ^ flip_i(f) is added into the bit-sliced counter held in
+  // registers, one bit per point, and popcount(d_i) feeds the influence of
+  // x_i. An in-word flip is a delta swap within the word; a cross-word flip
+  // pairs the word with its partner at index w ^ 2^(i-6). Nothing is
+  // allocated beyond the planes themselves.
+  const auto words = tt.words();
+  for (std::size_t w = 0; w < num_words_; ++w) {
+    const std::uint64_t f = words[w];
+    std::array<std::uint64_t, kMaxPlanes> planes{};
+    for (int i = 0; i < num_vars_; ++i) {
+      std::uint64_t carry =
+          i < kVarsPerWord ? f ^ flip_in_word(f, i) : f ^ words[w ^ (std::size_t{1} << (i - kVarsPerWord))];
+      influences_[static_cast<std::size_t>(i)] += static_cast<std::uint32_t>(popcount64(carry));
+      for (std::size_t p = 0; p < num_planes_ && carry != 0; ++p) {
+        const std::uint64_t overflow = planes[p] & carry;
+        planes[p] ^= carry;
+        carry = overflow;
       }
-      tmp = plane;
-      tmp &= carry;
-      plane ^= carry;
-      std::swap(carry, tmp);
+      assert(carry == 0 && "sensitivity counter overflow");
     }
-    assert(carry.is_const0() && "sensitivity counter overflow");
+    for (std::size_t p = 0; p < num_planes_; ++p) {
+      plane_words_[p * num_words_ + w] = planes[p];
+    }
+  }
+  // Sensitive words come in pairs (X, X^i): the integer influence counts
+  // pairs (influence.hpp).
+  for (int i = 0; i < num_vars_; ++i) {
+    influences_[static_cast<std::size_t>(i)] /= 2;
   }
 }
 
 int SensitivityProfile::local(std::uint64_t word_index) const noexcept
 {
   int value = 0;
-  for (std::size_t p = 0; p < planes_.size(); ++p) {
-    value |= static_cast<int>(planes_[p].get_bit(word_index)) << p;
+  for (std::size_t p = 0; p < num_planes_; ++p) {
+    value |= static_cast<int>((plane_word(p, word_index >> 6) >> (word_index & 63)) & 1u) << p;
   }
   return value;
 }
@@ -69,8 +79,8 @@ void SensitivityProfile::level_mask_into(TruthTable& out, int level) const
   auto words = out.words();
   for (std::size_t w = 0; w < words.size(); ++w) {
     std::uint64_t m = ~0ULL;
-    for (std::size_t p = 0; p < planes_.size(); ++p) {
-      const std::uint64_t pw = planes_[p].word(w);
+    for (std::size_t p = 0; p < num_planes_; ++p) {
+      const std::uint64_t pw = plane_word(p, w);
       m &= ((level >> p) & 1) ? pw : ~pw;
     }
     words[w] = m;
@@ -81,13 +91,12 @@ void SensitivityProfile::level_mask_into(TruthTable& out, int level) const
 SensitivityHistogram SensitivityProfile::histogram() const
 {
   SensitivityHistogram hist(static_cast<std::size_t>(num_vars_) + 1, 0);
-  const std::size_t num_words = planes_[0].num_words();
   for (int s = 0; s <= num_vars_; ++s) {
     std::uint64_t count = 0;
-    for (std::size_t w = 0; w < num_words; ++w) {
+    for (std::size_t w = 0; w < num_words_; ++w) {
       std::uint64_t m = w == 0 && num_vars_ < kVarsPerWord ? low_bits_mask(num_vars_) : ~0ULL;
-      for (std::size_t p = 0; p < planes_.size(); ++p) {
-        const std::uint64_t pw = planes_[p].word(w);
+      for (std::size_t p = 0; p < num_planes_; ++p) {
+        const std::uint64_t pw = plane_word(p, w);
         m &= ((s >> p) & 1) ? pw : ~pw;
       }
       count += static_cast<std::uint64_t>(popcount64(m));
@@ -100,13 +109,12 @@ SensitivityHistogram SensitivityProfile::histogram() const
 SensitivityHistogram SensitivityProfile::histogram_within(const TruthTable& selector) const
 {
   SensitivityHistogram hist(static_cast<std::size_t>(num_vars_) + 1, 0);
-  const std::size_t num_words = planes_[0].num_words();
   for (int s = 0; s <= num_vars_; ++s) {
     std::uint64_t count = 0;
-    for (std::size_t w = 0; w < num_words; ++w) {
+    for (std::size_t w = 0; w < num_words_; ++w) {
       std::uint64_t m = selector.word(w);
-      for (std::size_t p = 0; p < planes_.size(); ++p) {
-        const std::uint64_t pw = planes_[p].word(w);
+      for (std::size_t p = 0; p < num_planes_; ++p) {
+        const std::uint64_t pw = plane_word(p, w);
         m &= ((s >> p) & 1) ? pw : ~pw;
       }
       count += static_cast<std::uint64_t>(popcount64(m));

@@ -13,12 +13,18 @@
 /// The profile is computed bit-sliced: the n difference masks
 /// d_i = f XOR flip_i(f) are accumulated into ceil(log2(n+1)) carry-save bit
 /// planes, so the full 2^n-point profile costs O(n log n) word passes instead
-/// of O(n 2^n) point loops. A naive per-point routine is kept as the
-/// reference implementation for the property tests.
+/// of O(n 2^n) point loops. The same masks give the influences for free
+/// (inf(f, i) = popcount(d_i) / 2, influence.hpp), which is where the MSV
+/// takes its OIV from. A naive per-point routine is kept as the reference
+/// implementation for the property tests.
 
 #pragma once
 
+#include <array>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "facet/tt/truth_table.hpp"
@@ -34,10 +40,20 @@ using SensitivityHistogram = std::vector<std::uint32_t>;
 /// plane p holds bit p of sen(f, X) at position X.
 class SensitivityProfile {
  public:
-  /// Builds the profile of `tt` (bit-sliced).
+  /// Builds the profile of `tt` (bit-sliced, one pass over its words).
   explicit SensitivityProfile(const TruthTable& tt);
 
   [[nodiscard]] int num_vars() const noexcept { return num_vars_; }
+
+  /// Unsorted per-variable influences inf(f, i) = popcount(d_i) / 2, taken
+  /// from the difference masks the profile is built from; equal to
+  /// influence_profile(tt). The span views the profile, so a temporary
+  /// profile cannot hand one out.
+  [[nodiscard]] std::span<const std::uint32_t> influences() const& noexcept
+  {
+    return {influences_.data(), static_cast<std::size_t>(num_vars_)};
+  }
+  std::span<const std::uint32_t> influences() const&& = delete;
 
   /// Local sensitivity sen(f, X) (Definition 4).
   [[nodiscard]] int local(std::uint64_t word_index) const noexcept;
@@ -59,8 +75,19 @@ class SensitivityProfile {
   [[nodiscard]] SensitivityHistogram histogram_within(const TruthTable& selector) const;
 
  private:
+  /// Planes needed to count up to n = kMaxVars.
+  static constexpr std::size_t kMaxPlanes = std::bit_width(static_cast<unsigned>(kMaxVars));
+
+  [[nodiscard]] std::uint64_t plane_word(std::size_t plane, std::size_t word) const noexcept
+  {
+    return plane_words_[plane * num_words_ + word];
+  }
+
   int num_vars_;
-  std::vector<TruthTable> planes_;
+  std::size_t num_planes_;
+  std::size_t num_words_;
+  std::vector<std::uint64_t> plane_words_;  ///< plane-major: plane p at [p * num_words_, ...)
+  std::array<std::uint32_t, kMaxVars> influences_{};
 };
 
 /// OSV (Definition 8) as a histogram over sensitivity levels 0..n.

@@ -41,16 +41,6 @@ constexpr auto kKrawtchouk = [] {
   return table;
 }();
 
-/// kByteWeight[b] = popcount(b), as a table: the library is built without
-/// a hardware popcount, and this sits in the kernel's innermost loop.
-constexpr auto kByteWeight = [] {
-  std::array<std::uint8_t, 256> table{};
-  for (std::size_t b = 0; b < 256; ++b) {
-    table[b] = static_cast<std::uint8_t>(std::popcount(b));
-  }
-  return table;
-}();
-
 /// Per-thread Walsh scratch of 2^n entries, grown once to the widest table
 /// seen, so the kernel allocates nothing per call.
 std::span<std::int32_t> walsh_scratch(int n)
@@ -90,7 +80,7 @@ void spectrum_into(const TruthTable& points, std::uint64_t* out)
     const std::int64_t value = spectrum[w];
     return value * value;
   };
-  const auto weight = [](std::size_t w) { return kByteWeight[w & 0xffU] + kByteWeight[w >> 8]; };
+  const auto weight = [](std::size_t w) { return static_cast<std::size_t>(std::popcount(w)); };
   std::size_t w = 0;
   for (; w + 8 <= spectrum.size(); w += 8) {
     std::int64_t* p = power.data() + weight(w);

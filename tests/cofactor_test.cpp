@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <random>
 
 #include "facet/tt/tt_generate.hpp"
@@ -94,6 +96,103 @@ TEST_P(CofactorSweep, PairsSumToSatisfyCount)
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWidths, CofactorSweep, ::testing::Range(1, 11));
+
+/// Functions of width n over a sweep of densities: constants, single
+/// minterms, sparse, balanced, dense and uniform.
+std::vector<TruthTable> density_sweep(int n, std::mt19937_64& rng)
+{
+  const std::uint64_t bits = std::uint64_t{1} << n;
+  std::vector<TruthTable> funcs{tt_constant(n, false), tt_constant(n, true)};
+  for (const std::uint64_t ones : {std::uint64_t{1}, bits / 8, bits / 2, bits - bits / 8, bits - 1}) {
+    funcs.push_back(tt_random_with_ones(n, ones, rng));
+  }
+  for (int trial = 0; trial < 4; ++trial) {
+    funcs.push_back(tt_random(n, rng));
+  }
+  return funcs;
+}
+
+/// The fused OCV1/OCV2 pass (ocv12_into) against per-variable and per-pair
+/// counts sorted with std::sort, across in-word and cross-word variables.
+class FusedCofactorPass : public ::testing::TestWithParam<int> {};
+
+TEST_P(FusedCofactorPass, Ocv1EqualsSortedCofactorCounts)
+{
+  const int n = GetParam();
+  std::mt19937_64 rng{0xF05Eu + static_cast<unsigned>(n)};
+  for (const TruthTable& tt : density_sweep(n, rng)) {
+    std::vector<std::uint32_t> expected;
+    for (int i = 0; i < n; ++i) {
+      expected.push_back(cofactor_count(tt, i, false));
+      expected.push_back(cofactor_count(tt, i, true));
+    }
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(ocv1(tt), expected) << "n=" << n;
+  }
+}
+
+TEST_P(FusedCofactorPass, Ocv2EqualsSortedPairCounts)
+{
+  const int n = GetParam();
+  std::mt19937_64 rng{0xF05Fu + static_cast<unsigned>(n)};
+  for (const TruthTable& tt : density_sweep(n, rng)) {
+    std::vector<std::uint32_t> expected;
+    for (int i = 0; i < n; ++i) {
+      for (int j = i + 1; j < n; ++j) {
+        const std::array<int, 2> vars{i, j};
+        const auto counts = cofactor_counts(tt, vars);
+        expected.insert(expected.end(), counts.begin(), counts.end());
+      }
+    }
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(ocv(tt, 2), expected) << "n=" << n;
+
+    // One call filling both vectors equals the two single-vector calls.
+    std::vector<std::uint32_t> both1(ocv_size(n, 1));
+    std::vector<std::uint32_t> both2(ocv_size(n, 2));
+    ocv12_into(tt, both1.data(), both2.data());
+    EXPECT_EQ(both1, ocv1(tt));
+    EXPECT_EQ(both2, expected);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths2To11, FusedCofactorPass, ::testing::Range(2, 12));
+
+TEST(Cofactor, Ocv3EqualsSortedTripleCounts)
+{
+  for (int n = 3; n <= 11; ++n) {
+    std::mt19937_64 rng{0xF060u + static_cast<unsigned>(n)};
+    for (const TruthTable& tt : density_sweep(n, rng)) {
+      std::vector<std::uint32_t> expected;
+      for (int i = 0; i < n; ++i) {
+        for (int j = i + 1; j < n; ++j) {
+          for (int k = j + 1; k < n; ++k) {
+            const std::array<int, 3> vars{i, j, k};
+            const auto counts = cofactor_counts(tt, vars);
+            expected.insert(expected.end(), counts.begin(), counts.end());
+          }
+        }
+      }
+      std::sort(expected.begin(), expected.end());
+      EXPECT_EQ(ocv(tt, 3), expected) << "n=" << n;
+    }
+  }
+}
+
+TEST(Cofactor, FusedOcv1BelowTwoVariables)
+{
+  EXPECT_TRUE(ocv1(tt_constant(0, true)).empty());
+  EXPECT_EQ(ocv1(tt_projection(1, 0)), (std::vector<std::uint32_t>{0, 1}));
+  EXPECT_EQ(ocv1(tt_constant(1, true)), (std::vector<std::uint32_t>{1, 1}));
+}
+
+TEST(Cofactor, FusedPassRejectsOcv2BelowTwoVariables)
+{
+  std::vector<std::uint32_t> out(4);
+  EXPECT_THROW(ocv12_into(tt_projection(1, 0), nullptr, out.data()), std::invalid_argument);
+  EXPECT_EQ(ocv_size(0, 0), 1u);
+  EXPECT_EQ(ocv_size(8, 2), 112u);  // C(8,2) * 4
+}
 
 TEST(Cofactor, OcvShapes)
 {

@@ -4,6 +4,7 @@
 
 #include <random>
 
+#include "facet/sig/sensitivity.hpp"
 #include "facet/tt/tt_generate.hpp"
 #include "facet/tt/tt_transform.hpp"
 
@@ -113,6 +114,27 @@ TEST(Influence, OivIsSortedProfile)
   auto profile = influence_profile(tt);
   std::sort(profile.begin(), profile.end());
   EXPECT_EQ(oiv(tt), profile);
+}
+
+TEST(Influence, SensitivityProfileInfluencesEqualInfluenceProfile)
+{
+  // The MSV takes OIV from the profile's difference masks; they must agree
+  // with the direct per-variable flip, including cross-word variables.
+  std::mt19937_64 rng{0x1F1u};
+  for (int n = 0; n <= 11; ++n) {
+    const std::uint64_t bits = std::uint64_t{1} << n;
+    for (const std::uint64_t ones : {std::uint64_t{0}, std::uint64_t{1}, bits / 2, bits - 1, bits}) {
+      const TruthTable tt = tt_random_with_ones(n, ones, rng);
+      const SensitivityProfile profile{tt};
+      const auto influences = profile.influences();
+      EXPECT_EQ(std::vector<std::uint32_t>(influences.begin(), influences.end()), influence_profile(tt))
+          << "n=" << n << " ones=" << ones;
+    }
+    const TruthTable tt = tt_random(n, rng);
+    const SensitivityProfile profile{tt};
+    const auto influences = profile.influences();
+    EXPECT_EQ(std::vector<std::uint32_t>(influences.begin(), influences.end()), influence_profile(tt)) << "n=" << n;
+  }
 }
 
 TEST(Influence, ProbabilityNormalization)

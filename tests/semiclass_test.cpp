@@ -41,27 +41,37 @@
 namespace facet {
 namespace {
 
-/// All 2 * 2^n * n! transforms of width n, enumerated deterministically.
+/// All 2 * 2^n * n! transforms of width n, enumerated deterministically:
+/// permutation k is the k-th in lexicographic order, decoded from the
+/// factorial digits of k.
 std::vector<NpnTransform> all_transforms(int n)
 {
-  std::vector<std::uint8_t> perm(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    perm[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(i);
+  std::size_t permutations = 1;
+  for (int i = 2; i <= n; ++i) {
+    permutations *= static_cast<std::size_t>(i);
   }
   std::vector<NpnTransform> out;
-  do {
+  for (std::size_t k = 0; k < permutations; ++k) {
+    NpnTransform base = NpnTransform::identity(n);
+    std::size_t rest = k;
+    std::size_t radix = permutations;
+    for (int i = 0; i < n; ++i) {
+      // Position i takes the (rest / radix)-th smallest unused variable.
+      radix /= static_cast<std::size_t>(n - i);
+      const auto pick = static_cast<std::size_t>(i) + rest / radix;
+      rest %= radix;
+      std::rotate(base.perm.begin() + i, base.perm.begin() + static_cast<std::ptrdiff_t>(pick),
+                  base.perm.begin() + static_cast<std::ptrdiff_t>(pick) + 1);
+    }
     for (std::uint32_t neg = 0; neg < (1u << n); ++neg) {
       for (int out_neg = 0; out_neg < 2; ++out_neg) {
-        NpnTransform t = NpnTransform::identity(n);
-        for (int i = 0; i < n; ++i) {
-          t.perm[static_cast<std::size_t>(i)] = perm[static_cast<std::size_t>(i)];
-        }
+        NpnTransform t = base;
         t.input_neg = neg;
         t.output_neg = out_neg != 0;
         out.push_back(t);
       }
     }
-  } while (std::next_permutation(perm.begin(), perm.end()));
+  }
   return out;
 }
 
