@@ -43,21 +43,12 @@ obs::LatencyHistogram& connection_lifetime_histogram()
   return histogram;
 }
 
-/// `facet_compaction_duration{phase=...}` handles. "total" spans flush
-/// through adopt; the phases break the three-phase API down so a dashboard
-/// separates the gate-free heavy merge from the gated swap.
-obs::LatencyHistogram& compaction_histogram(const char* phase)
-{
-  return obs::MetricRegistry::global().histogram("facet_compaction_duration",
-                                                 obs::label("phase", phase));
-}
-
 #if FACET_HAS_SOCKETS
 
 /// (inode, mtime, size) of one file; zeros when absent. The readonly reload
-/// poll compares these to spot an adopt_compacted rename (new inode) or a
+/// poll compares these to spot a compaction's rename (new inode) or a
 /// primary dlog append (new size/mtime). Whole-second mtime granularity is
-/// fine: adoption always renames, and appends always grow the log.
+/// fine: a compaction always renames, and appends always grow the log.
 std::array<std::uint64_t, 3> file_stamp(const std::string& path) noexcept
 {
   struct ::stat st = {};
@@ -447,52 +438,20 @@ std::size_t ServeServer::run_due_compactions()
 
 void ServeServer::compact_one(int width, ClassStore& store, const std::string& path)
 {
-  const std::string dlog = ClassStore::delta_log_path(path);
-  const std::uint64_t t_start = obs::now_ticks();
-  // Phase 1 (cheap): fold the memtable into a sealed run (serialized inside
-  // the store's gate) and pin the immutable tiers (no gate entered).
-  const std::size_t flushed = store.flush_delta(dlog);
-  const CompactionSnapshot snapshot = store.compaction_snapshot();
-  if (snapshot.deltas.empty()) {
+  const CompactionReport done = store.compact(path);
+  if (done.runs == 0) {
     return;
   }
-  const std::uint64_t dlog_bytes = ClassStore::delta_log_size(dlog);
-  std::size_t delta_records = 0;
-  for (const auto& run : snapshot.deltas) {
-    delta_records += run->size();
-  }
-  const std::uint64_t t_flushed = obs::now_ticks();
-
-  // Phase 2 (no gate held): merge and write the fresh base while readers
-  // and appenders keep going.
-  std::vector<StoreRecord> merged = ClassStore::merge_compaction_snapshot(snapshot);
-  const std::uint64_t t_merged = obs::now_ticks();
-  const std::string tmp = path + ".cpt";
-  ClassStore::write_compacted(tmp, snapshot, merged);
-  const std::uint64_t t_written = obs::now_ticks();
-
-  // Phase 3 (cheap): swap the new base in through the store's gate. Runs
-  // flushed since the snapshot survive; only this compactor thread ever
-  // swaps the base, so the snapshot-prefix validation cannot fail.
-  store.adopt_compacted(path, tmp, snapshot, std::move(merged));
-  const std::uint64_t t_done = obs::now_ticks();
-
-  compaction_histogram("flush").record_ns(obs::ticks_to_ns(t_flushed - t_start));
-  compaction_histogram("merge").record_ns(obs::ticks_to_ns(t_merged - t_flushed));
-  compaction_histogram("write").record_ns(obs::ticks_to_ns(t_written - t_merged));
-  compaction_histogram("adopt").record_ns(obs::ticks_to_ns(t_done - t_written));
-  const std::uint64_t total_ns = obs::ticks_to_ns(t_done - t_start);
-  compaction_histogram("total").record_ns(total_ns);
-
+  const std::uint64_t duration_ms = done.duration_ns / 1'000'000;
   ++stats_.compactions;
-  stats_.compacted_runs += snapshot.deltas.size();
-  stats_.compacted_records += delta_records;
-  stats_.compacted_bytes += dlog_bytes;
-  stats_.last_compaction_ms.store(total_ns / 1'000'000, std::memory_order_relaxed);
-  stats_.flushed_records += flushed;
+  stats_.compacted_runs += done.runs;
+  stats_.compacted_records += done.records;
+  stats_.compacted_bytes += done.bytes;
+  stats_.last_compaction_ms.store(duration_ms, std::memory_order_relaxed);
+  stats_.flushed_records += done.flushed;
   const std::lock_guard<std::mutex> log_lock{compaction_log_mutex_};
   compaction_log_.push_back(
-      CompactionEvent{width, snapshot.deltas.size(), delta_records, dlog_bytes, total_ns / 1'000'000});
+      CompactionEvent{width, done.runs, done.records, done.bytes, duration_ms});
 }
 
 #else  // !FACET_HAS_SOCKETS

@@ -26,10 +26,10 @@
 /// timeout, drain) and the background compactor the ROADMAP asked for: a
 /// thread that watches every served store and, when the sealed delta-run
 /// count or the `.dlog` size crosses its threshold, folds base + runs into
-/// a fresh base segment using the three-phase ClassStore compaction API —
-/// the heavy merge and file write run against a pinned snapshot with no
-/// gate held, and only the final adopt_compacted swap enters the store's
-/// gate, so live traffic never stalls behind a compaction.
+/// a fresh base segment with ClassStore::compact — the heavy merge and file
+/// write run against a pinned snapshot with no gate held, and only the
+/// flush before and the swap after enter the store's gate, so live traffic
+/// never stalls behind a compaction.
 ///
 /// Shutdown (request_shutdown(), wired to SIGINT/SIGTERM by the CLI) is
 /// graceful: stop accepting, wake every in-flight connection (its session
@@ -95,9 +95,9 @@ struct ServeServerOptions {
 
   /// Readonly replicas only: re-stat every served index (base + delta log)
   /// at this interval and ClassStore::reload any store whose files changed
-  /// — the other half of the compaction handshake. adopt_compacted lands
-  /// the new base by rename, so a replica sees a new inode/mtime and swaps
-  /// its tiers to the fresh epoch without dropping in-flight requests.
+  /// — the other half of the compaction handshake. ClassStore::compact
+  /// lands the new base by rename, so a replica sees a new inode/mtime and
+  /// swaps its tiers to the fresh epoch without dropping in-flight requests.
   /// zero() (default) disables polling; ignored on writable servers, which
   /// own their files.
   std::chrono::milliseconds reload_poll{0};
@@ -118,7 +118,7 @@ struct CompactionEvent {
   std::size_t runs = 0;          ///< delta runs folded into the new base
   std::size_t records = 0;       ///< records those runs held
   std::uint64_t bytes = 0;       ///< delta-log bytes folded away
-  std::uint64_t duration_ms = 0; ///< flush-through-adopt wall time
+  std::uint64_t duration_ms = 0; ///< flush-through-swap wall time
 };
 
 class ServeServer {

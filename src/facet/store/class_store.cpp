@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -14,6 +13,7 @@
 #include "facet/npn/npn4_table.hpp"
 #include "facet/obs/clock.hpp"
 #include "facet/obs/registry.hpp"
+#include "facet/store/file_writer.hpp"
 #include "facet/util/hash.hpp"
 
 namespace facet {
@@ -29,6 +29,88 @@ namespace {
 /// BENCH_store_misspath caught at n=6.
 constexpr std::uint64_t kMemoProbationProbes = 1024;
 constexpr std::uint64_t kMemoProbationMinHits = 16;
+
+/// `facet_compaction_duration{phase=...}`: "total" spans flush through
+/// adopt; the phases separate the gate-free merge and write from the gated
+/// flush and swap.
+obs::LatencyHistogram& compaction_histogram(const char* phase)
+{
+  return obs::MetricRegistry::global().histogram("facet_compaction_duration",
+                                                 obs::label("phase", phase));
+}
+
+/// Records the ticks since `start` under `phase`; returns now.
+std::uint64_t record_phase(const char* phase, std::uint64_t start)
+{
+  const std::uint64_t now = obs::now_ticks();
+  compaction_histogram(phase).record_ns(obs::ticks_to_ns(now - start));
+  return now;
+}
+
+std::vector<const StoreRecord*> pointers_to(const std::vector<StoreRecord>& records)
+{
+  std::vector<const StoreRecord*> pointers;
+  pointers.reserve(records.size());
+  for (const auto& record : records) {
+    pointers.push_back(&record);
+  }
+  return pointers;
+}
+
+/// The base, then the delta runs oldest first.
+std::vector<const Segment*> segments_of(const TierSnapshot& tiers)
+{
+  std::vector<const Segment*> segments{tiers.base.get()};
+  for (const auto& delta : tiers.deltas) {
+    segments.push_back(delta.get());
+  }
+  return segments;
+}
+
+/// Merges sorted tiers, oldest first, into one record vector sorted by
+/// canonical form. Where tiers share a canonical form the newest tier's
+/// record wins — the order lookups shadow in.
+std::vector<StoreRecord> merge_tiers(const std::vector<const Segment*>& tiers)
+{
+  struct Cursor {
+    const Segment* tier;
+    std::size_t next;
+    StoreRecord head;
+  };
+  std::vector<Cursor> cursors;
+  std::size_t total = 0;
+  for (const Segment* tier : tiers) {
+    total += tier->size();
+    if (tier->size() > 0) {
+      cursors.push_back({tier, 1, tier->record_at(0)});
+    }
+  }
+  std::vector<StoreRecord> merged;
+  merged.reserve(total);
+  while (!cursors.empty()) {
+    // The smallest head; among equal heads, the newest tier's.
+    std::size_t winner = 0;
+    for (std::size_t i = 1; i < cursors.size(); ++i) {
+      if (!(cursors[winner].head.canonical < cursors[i].head.canonical)) {
+        winner = i;
+      }
+    }
+    merged.push_back(std::move(cursors[winner].head));
+    // Step every cursor whose head the winner shadows, the winner included.
+    for (std::size_t i = cursors.size(); i-- > 0;) {
+      Cursor& cursor = cursors[i];
+      if (i != winner && cursor.head.canonical != merged.back().canonical) {
+        continue;
+      }
+      if (cursor.next < cursor.tier->size()) {
+        cursor.head = cursor.tier->record_at(cursor.next++);
+      } else {
+        cursors.erase(cursors.begin() + static_cast<std::ptrdiff_t>(i));
+      }
+    }
+  }
+  return merged;
+}
 
 }  // namespace
 
@@ -56,6 +138,7 @@ ClassStore::ClassStore(int num_vars, ClassStoreOptions options)
           TierSnapshot{std::make_shared<MaterializedSegment>(num_vars, std::vector<StoreRecord>{}),
                        {}}))},
       memtable_{std::make_unique<Memtable>()},
+      compaction_mutex_{std::make_unique<std::mutex>()},
       cache_{options.hot_cache_capacity, options.hot_cache_shards}
 {
   if (num_vars < 0 || num_vars > kMaxVars) {
@@ -104,16 +187,16 @@ ClassStore::ClassStore(int num_vars, std::vector<StoreRecord> records, std::uint
       throw std::invalid_argument{"ClassStore: record class id exceeds num_classes"};
     }
   }
-  reset_base(std::make_shared<MaterializedSegment>(num_vars_, std::move(records)));
+  reset_tiers({std::make_shared<MaterializedSegment>(num_vars_, std::move(records)), {}});
   next_class_id_.store(num_classes, std::memory_order_relaxed);
   npn4_prefill();
 }
 
-ClassStore::ClassStore(std::shared_ptr<const Segment> base, std::uint64_t num_classes,
-                       bool mmap_backed, ClassStoreOptions options)
-    : ClassStore{base->num_vars(), options}
+ClassStore::ClassStore(TierSnapshot tiers, std::uint64_t num_classes, bool mmap_backed,
+                       ClassStoreOptions options)
+    : ClassStore{tiers.base->num_vars(), options}
 {
-  reset_base(std::move(base));
+  reset_tiers(std::move(tiers));
   mmap_backed_ = mmap_backed;
   next_class_id_.store(num_classes, std::memory_order_relaxed);
   npn4_prefill();
@@ -134,6 +217,7 @@ ClassStore::ClassStore(ClassStore&& other) noexcept
       miss_records_{std::move(other.miss_records_)},
       next_class_id_{other.next_class_id_.load(std::memory_order_relaxed)},
       compactions_{other.compactions_.load(std::memory_order_relaxed)},
+      compaction_mutex_{std::move(other.compaction_mutex_)},
       cache_{std::move(other.cache_)}
 {
   lookup_latency_ = other.lookup_latency_;
@@ -160,17 +244,16 @@ ClassStore& ClassStore::operator=(ClassStore&& other) noexcept
                        std::memory_order_relaxed);
   compactions_.store(other.compactions_.load(std::memory_order_relaxed),
                      std::memory_order_relaxed);
+  compaction_mutex_ = std::move(other.compaction_mutex_);
   cache_ = std::move(other.cache_);
   lookup_latency_ = other.lookup_latency_;
   return *this;
 }
 
-void ClassStore::reset_base(std::shared_ptr<const Segment> base)
+void ClassStore::reset_tiers(TierSnapshot tiers)
 {
   const auto gate = gate_->acquire();
-  auto next = std::make_shared<TierSnapshot>(*gate_->pin());
-  next->base = std::move(base);
-  gate_->publish(gate, std::move(next));
+  gate_->publish(gate, std::make_shared<TierSnapshot>(std::move(tiers)));
 }
 
 std::size_t ClassStore::num_records() const
@@ -226,38 +309,12 @@ std::vector<StoreRecord> ClassStore::persisted_records() const
     const std::lock_guard<std::mutex> lock{memtable_->mutex};
     memtable = memtable_->records;
   }
-  const auto tiers = gate_->pin();
-
-  // Newest occurrence of a canonical form shadows older ones, mirroring the
-  // lookup order memtable -> deltas (newest first) -> base.
-  std::unordered_map<TruthTable, StoreRecord, TruthTableHash> merged;
-  std::size_t upper_bound = tiers->base->size() + memtable.size();
-  for (const auto& delta : tiers->deltas) {
-    upper_bound += delta->size();
-  }
-  merged.reserve(upper_bound);
-  for (std::size_t i = 0; i < tiers->base->size(); ++i) {
-    StoreRecord record = tiers->base->record_at(i);
-    TruthTable key = record.canonical;
-    merged.insert_or_assign(std::move(key), std::move(record));
-  }
-  for (const auto& delta : tiers->deltas) {
-    for (const auto& record : delta->records()) {
-      merged.insert_or_assign(record.canonical, record);
-    }
-  }
-  for (const auto& record : memtable) {
-    merged.insert_or_assign(record.canonical, record);
-  }
-
-  std::vector<StoreRecord> result;
-  result.reserve(merged.size());
-  for (auto& entry : merged) {
-    result.push_back(std::move(entry.second));
-  }
-  std::sort(result.begin(), result.end(),
+  std::sort(memtable.begin(), memtable.end(),
             [](const StoreRecord& a, const StoreRecord& b) { return a.canonical < b.canonical; });
-  return result;
+  const MaterializedSegment memtable_run{num_vars_, std::move(memtable)};
+  std::vector<const Segment*> tiers = segments_of(*gate_->pin());
+  tiers.push_back(&memtable_run);
+  return merge_tiers(tiers);
 }
 
 // -- persistence -------------------------------------------------------------
@@ -268,77 +325,46 @@ void ClassStore::save(std::ostream& os) const
   // Loaded after the records are collected, so the header's class count
   // bounds every collected id even if an append lands in between.
   const std::uint64_t num_classes = next_class_id_.load(std::memory_order_acquire);
-  std::vector<const StoreRecord*> pointers;
-  pointers.reserve(merged.size());
-  for (const auto& record : merged) {
-    pointers.push_back(&record);
-  }
-  write_base_segment(os, num_vars_, num_classes, pointers);
+  write_base_segment(os, num_vars_, num_classes, pointers_to(merged));
 }
-
-namespace {
-
-/// Write-then-rename: a crash or full disk mid-save must never destroy the
-/// existing index at `path`.
-void write_file_atomically(const std::string& path, const char* what,
-                           const std::function<void(std::ostream&)>& writer)
-{
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os{tmp, std::ios::binary | std::ios::trunc};
-    if (!os) {
-      throw StoreFormatError{std::string{"cannot open "} + what + " for writing: " + tmp};
-    }
-    writer(os);
-    os.flush();
-    if (!os) {
-      std::remove(tmp.c_str());
-      throw StoreFormatError{std::string{what} + " write failed: " + tmp};
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw StoreFormatError{std::string{"cannot move finished "} + what + " into place: " + path};
-  }
-}
-
-}  // namespace
 
 void ClassStore::save(const std::string& path) const
 {
-  write_file_atomically(path, "store file", [&](std::ostream& os) { save(os); });
+  replace_file(path, "store file", [&](std::ostream& os) { save(os); });
 }
 
 namespace {
 
-/// A base segment and the next fresh class id its header records.
-struct OpenedBase {
-  std::shared_ptr<const Segment> segment;
+/// One epoch as read from disk: a base segment (plus, once its log is
+/// replayed, the delta runs), and the next fresh class id they record.
+struct OpenedTiers {
+  TierSnapshot tiers;
   std::uint64_t num_classes = 0;
 };
 
 /// A decoded base as a segment, every record id checked against the
 /// header's class count.
-OpenedBase materialize_base(LoadedBase base)
+OpenedTiers materialize_base(LoadedBase base)
 {
   for (const auto& record : base.records) {
     if (record.class_id >= base.header.num_classes) {
       throw StoreFormatError{"corrupt store records: record class id exceeds num_classes"};
     }
   }
-  return {std::make_shared<MaterializedSegment>(static_cast<int>(base.header.num_vars),
-                                                std::move(base.records)),
+  return {{std::make_shared<MaterializedSegment>(static_cast<int>(base.header.num_vars),
+                                                 std::move(base.records)),
+           {}},
           base.header.num_classes};
 }
 
 /// The base segment at `path`, mapped read-only or decoded into RAM — the
-/// one way load(), open() and reload() get a base.
-OpenedBase open_base(const std::string& path, bool use_mmap)
+/// one way load() and open_tiers() get a base.
+OpenedTiers open_base(const std::string& path, bool use_mmap)
 {
   if (use_mmap) {
     std::shared_ptr<MmapSegment> segment = MmapSegment::open(path);
     const std::uint64_t num_classes = segment->num_classes();
-    return {std::move(segment), num_classes};
+    return {{std::move(segment), {}}, num_classes};
   }
   std::ifstream is{path, std::ios::binary};
   if (!is) {
@@ -347,57 +373,62 @@ OpenedBase open_base(const std::string& path, bool use_mmap)
   return materialize_base(read_base_segment(is));
 }
 
-/// The runs of a replayed delta log as delta segments; raises
-/// `next_class_id` to the largest class count a run records.
-std::vector<std::shared_ptr<const MaterializedSegment>> delta_segments(
-    int num_vars, DeltaLogReplay& replay, std::uint64_t& next_class_id)
+/// What to do with a torn trailing delta frame (a crash or full disk
+/// mid-append). Either way the replay drops it.
+enum class TornTail {
+  kTruncate,  ///< cut the log back to its intact prefix (the log's owner)
+  kKeep,      ///< leave the file alone (a replica: the log is the primary's)
+};
+
+/// The base at `path` plus every run its delta log replays — the one
+/// "open base, replay log" step of open() and reload().
+OpenedTiers open_tiers(const std::string& path, bool use_mmap, TornTail torn_tail)
 {
-  std::vector<std::shared_ptr<const MaterializedSegment>> deltas;
-  for (auto& run : replay.runs) {
-    next_class_id = std::max(next_class_id, run.num_classes_after);
-    deltas.push_back(std::make_shared<MaterializedSegment>(num_vars, std::move(run.records)));
+  OpenedTiers opened = open_base(path, use_mmap);
+  const int num_vars = opened.tiers.base->num_vars();
+  const std::string dlog_path = ClassStore::delta_log_path(path);
+  std::ifstream dlog{dlog_path, std::ios::binary};
+  if (!dlog) {
+    return opened;
   }
-  return deltas;
+  DeltaLogReplay replay = read_delta_log(dlog, num_vars);
+  dlog.close();
+  for (auto& run : replay.runs) {
+    opened.num_classes = std::max(opened.num_classes, run.num_classes_after);
+    opened.tiers.deltas.push_back(
+        std::make_shared<MaterializedSegment>(num_vars, std::move(run.records)));
+  }
+  if (replay.torn_tail && torn_tail == TornTail::kTruncate) {
+    // Truncate back to the intact prefix so the next flush does not write
+    // after garbage.
+    std::error_code ec;
+    std::filesystem::resize_file(dlog_path, replay.clean_bytes, ec);
+    if (ec) {
+      throw StoreFormatError{"cannot truncate torn delta log: " + dlog_path + " (" +
+                             ec.message() + ")"};
+    }
+  }
+  return opened;
 }
 
 }  // namespace
 
 ClassStore ClassStore::load(std::istream& is, ClassStoreOptions options)
 {
-  OpenedBase base = materialize_base(read_base_segment(is));
-  return ClassStore{std::move(base.segment), base.num_classes, /*mmap_backed=*/false, options};
+  OpenedTiers opened = materialize_base(read_base_segment(is));
+  return ClassStore{std::move(opened.tiers), opened.num_classes, /*mmap_backed=*/false, options};
 }
 
 ClassStore ClassStore::load(const std::string& path, ClassStoreOptions options)
 {
-  OpenedBase base = open_base(path, /*use_mmap=*/false);
-  return ClassStore{std::move(base.segment), base.num_classes, /*mmap_backed=*/false, options};
+  OpenedTiers opened = open_base(path, /*use_mmap=*/false);
+  return ClassStore{std::move(opened.tiers), opened.num_classes, /*mmap_backed=*/false, options};
 }
 
 ClassStore ClassStore::open(const std::string& path, const StoreOpenOptions& options)
 {
-  OpenedBase base = open_base(path, options.use_mmap);
-  ClassStore store{std::move(base.segment), base.num_classes, options.use_mmap, options.store};
-
-  const std::string dlog_path = delta_log_path(path);
-  std::ifstream dlog{dlog_path, std::ios::binary};
-  if (dlog) {
-    const DeltaLogReplay replay = store.load_deltas(dlog);
-    dlog.close();
-    if (replay.torn_tail) {
-      // Repair the crashed append: truncate back to the intact prefix so
-      // the next flush does not write after garbage.
-      std::error_code ec;
-      std::filesystem::resize_file(dlog_path, replay.clean_bytes, ec);
-      if (ec) {
-        throw StoreFormatError{"cannot truncate torn delta log: " + dlog_path + " (" +
-                               ec.message() + ")"};
-      }
-    }
-  }
-  // Classes replayed from the delta log fill table-tier slots too.
-  store.npn4_prefill();
-  return store;
+  OpenedTiers opened = open_tiers(path, options.use_mmap, TornTail::kTruncate);
+  return ClassStore{std::move(opened.tiers), opened.num_classes, options.use_mmap, options.store};
 }
 
 std::size_t ClassStore::reload(const std::string& path)
@@ -405,57 +436,28 @@ std::size_t ClassStore::reload(const std::string& path)
   // Build the replacement tiers fully before taking the gate — the re-open
   // and replay are the slow part, and readers keep serving the old epoch
   // until the single publish below.
-  OpenedBase base = open_base(path, mmap_backed_);
-  if (base.segment->num_vars() != num_vars_) {
+  OpenedTiers opened = open_tiers(path, mmap_backed_, TornTail::kKeep);
+  if (opened.tiers.base->num_vars() != num_vars_) {
     throw StoreFormatError{"reloaded store file has a different width: " + path};
   }
-  std::uint64_t next_class_id = base.num_classes;
-
-  std::vector<std::shared_ptr<const MaterializedSegment>> deltas;
-  std::ifstream dlog{delta_log_path(path), std::ios::binary};
-  if (dlog) {
-    // A torn tail is dropped from the replay but deliberately NOT truncated
-    // on disk: the log belongs to the primary, and a replica observing the
-    // primary mid-append must not repair (or race) the primary's file.
-    DeltaLogReplay replay = read_delta_log(dlog, num_vars_);
-    deltas = delta_segments(num_vars_, replay, next_class_id);
-  }
-
-  std::size_t served = base.segment->size();
-  for (const auto& delta : deltas) {
-    served += delta->size();
+  std::size_t served = 0;
+  for (const Segment* segment : segments_of(opened.tiers)) {
+    served += segment->size();
   }
 
   const auto gate = gate_->acquire();
-  auto next = std::make_shared<TierSnapshot>();
-  next->base = std::move(base.segment);
-  next->deltas = std::move(deltas);
   // Monotone: ids handed out by this process never regress even if the
   // on-disk state observed here is older than what we already served.
   std::uint64_t current = next_class_id_.load(std::memory_order_relaxed);
-  while (current < next_class_id &&
-         !next_class_id_.compare_exchange_weak(current, next_class_id,
+  while (current < opened.num_classes &&
+         !next_class_id_.compare_exchange_weak(current, opened.num_classes,
                                                std::memory_order_relaxed)) {
   }
-  gate_->publish(gate, std::move(next));
+  gate_->publish(gate, std::make_shared<TierSnapshot>(std::move(opened.tiers)));
   // Table/cache/memo tiers survive a reload by design: class ids are stable
   // across compaction, so previously published slots stay correct.
   npn4_prefill();
   return served;
-}
-
-DeltaLogReplay ClassStore::load_deltas(std::istream& is)
-{
-  DeltaLogReplay replay = read_delta_log(is, num_vars_);
-  const auto gate = gate_->acquire();
-  auto next = std::make_shared<TierSnapshot>(*gate_->pin());
-  std::uint64_t next_class_id = next_class_id_.load(std::memory_order_relaxed);
-  for (auto& delta : delta_segments(num_vars_, replay, next_class_id)) {
-    next->deltas.push_back(std::move(delta));
-  }
-  next_class_id_.store(next_class_id, std::memory_order_relaxed);
-  gate_->publish(gate, std::move(next));
-  return replay;
 }
 
 std::vector<const StoreRecord*> ClassStore::sorted_memtable() const
@@ -471,17 +473,9 @@ std::vector<const StoreRecord*> ClassStore::sorted_memtable() const
   return sorted;
 }
 
-std::size_t ClassStore::flush_delta_locked(const std::unique_lock<std::mutex>& gate,
-                                           std::ostream& os)
+std::size_t ClassStore::publish_sealed(const std::unique_lock<std::mutex>& gate,
+                                      const std::vector<const StoreRecord*>& sorted)
 {
-  // Only gate holders mutate the memtable, so reading it here needs no
-  // memtable lock; the lock below covers the clear, which readers can race.
-  if (memtable_->records.empty()) {
-    return 0;
-  }
-  const std::vector<const StoreRecord*> sorted = sorted_memtable();
-  write_delta_frame(os, num_vars_, next_class_id_.load(std::memory_order_relaxed), sorted);
-
   std::vector<StoreRecord> run;
   run.reserve(sorted.size());
   for (const auto* record : sorted) {
@@ -492,20 +486,29 @@ std::size_t ClassStore::flush_delta_locked(const std::unique_lock<std::mutex>& g
   // Publish the sealed run BEFORE clearing the memtable: a reader always
   // finds an in-flight record through at least one of the two tiers.
   gate_->publish(gate, std::move(next));
-  std::size_t flushed = 0;
-  {
-    const std::lock_guard<std::mutex> lock{memtable_->mutex};
-    flushed = memtable_->records.size();
-    memtable_->records.clear();
-    memtable_->index.clear();
-  }
+  const std::lock_guard<std::mutex> lock{memtable_->mutex};
+  const std::size_t flushed = memtable_->records.size();
+  memtable_->records.clear();
+  memtable_->index.clear();
   return flushed;
 }
+
+// Both flushes write the frame first and publish only once it is written: a
+// failed write throws with the memtable intact, so the next flush retries it.
+// Only gate holders mutate the memtable, so reading it needs no memtable lock.
 
 std::size_t ClassStore::flush_delta(std::ostream& os)
 {
   const auto gate = gate_->acquire();
-  return flush_delta_locked(gate, os);
+  if (memtable_->records.empty()) {
+    return 0;
+  }
+  const std::vector<const StoreRecord*> sorted = sorted_memtable();
+  write_delta_frame(os, num_vars_, next_class_id_.load(std::memory_order_relaxed), sorted);
+  if (!os.flush()) {
+    throw StoreFormatError{"delta frame write failed"};
+  }
+  return publish_sealed(gate, sorted);
 }
 
 std::size_t ClassStore::flush_delta(const std::string& dlog_path)
@@ -514,176 +517,89 @@ std::size_t ClassStore::flush_delta(const std::string& dlog_path)
   if (memtable_->records.empty()) {
     return 0;
   }
-  std::ofstream os{dlog_path, std::ios::binary | std::ios::app};
-  if (!os) {
-    throw StoreFormatError{"cannot open delta log for appending: " + dlog_path};
-  }
-  const std::size_t flushed = flush_delta_locked(gate, os);
-  os.flush();
-  if (!os) {
-    throw StoreFormatError{"delta log append failed: " + dlog_path};
-  }
-  return flushed;
-}
-
-void ClassStore::compact(const std::string& path)
-{
-  const auto gate = gate_->acquire();
-  std::vector<StoreRecord> merged = persisted_records();
-  std::vector<const StoreRecord*> pointers;
-  pointers.reserve(merged.size());
-  for (const auto& record : merged) {
-    pointers.push_back(&record);
-  }
-  const std::uint64_t num_classes = next_class_id_.load(std::memory_order_relaxed);
-  write_file_atomically(path, "store file", [&](std::ostream& os) {
-    write_base_segment(os, num_vars_, num_classes, pointers);
+  const std::vector<const StoreRecord*> sorted = sorted_memtable();
+  append_file(dlog_path, "delta log", [&](std::ostream& os) {
+    write_delta_frame(os, num_vars_, next_class_id_.load(std::memory_order_relaxed), sorted);
   });
-  std::remove(delta_log_path(path).c_str());
-
-  auto next = std::make_shared<TierSnapshot>();
-  if (mmap_backed_) {
-    next->base = MmapSegment::open(path);
-  } else {
-    next->base = std::make_shared<MaterializedSegment>(num_vars_, std::move(merged));
-  }
-  gate_->publish(gate, std::move(next));
-  {
-    const std::lock_guard<std::mutex> lock{memtable_->mutex};
-    memtable_->records.clear();
-    memtable_->index.clear();
-  }
-  compactions_.fetch_add(1, std::memory_order_relaxed);
+  return publish_sealed(gate, sorted);
 }
 
-// -- concurrent (three-phase) compaction -------------------------------------
-
-CompactionSnapshot ClassStore::compaction_snapshot() const
+CompactionReport ClassStore::compact(const std::string& path)
 {
-  const auto tiers = gate_->pin();
-  CompactionSnapshot snapshot;
-  snapshot.base = tiers->base;
-  snapshot.deltas = tiers->deltas;
-  // Loaded after the pin: every id in the pinned tiers predates the pin, so
-  // this (possibly newer) count bounds them all — a valid, if conservative,
-  // header value for the compacted base.
-  snapshot.num_classes = next_class_id_.load(std::memory_order_acquire);
-  snapshot.num_vars = num_vars_;
-  return snapshot;
-}
-
-std::vector<StoreRecord> ClassStore::merge_compaction_snapshot(const CompactionSnapshot& snapshot)
-{
-  // Same shadowing order as lookups: delta runs (newest last, so later
-  // insert_or_assign wins) over the base.
-  std::unordered_map<TruthTable, StoreRecord, TruthTableHash> merged;
-  std::size_t upper_bound = snapshot.base->size();
-  for (const auto& delta : snapshot.deltas) {
-    upper_bound += delta->size();
-  }
-  merged.reserve(upper_bound);
-  for (std::size_t i = 0; i < snapshot.base->size(); ++i) {
-    StoreRecord record = snapshot.base->record_at(i);
-    TruthTable key = record.canonical;
-    merged.insert_or_assign(std::move(key), std::move(record));
-  }
-  for (const auto& delta : snapshot.deltas) {
-    for (const auto& record : delta->records()) {
-      merged.insert_or_assign(record.canonical, record);
-    }
-  }
-
-  std::vector<StoreRecord> result;
-  result.reserve(merged.size());
-  for (auto& entry : merged) {
-    result.push_back(std::move(entry.second));
-  }
-  std::sort(result.begin(), result.end(),
-            [](const StoreRecord& a, const StoreRecord& b) { return a.canonical < b.canonical; });
-  return result;
-}
-
-void ClassStore::write_compacted(const std::string& tmp_path, const CompactionSnapshot& snapshot,
-                                 const std::vector<StoreRecord>& merged)
-{
-  std::vector<const StoreRecord*> pointers;
-  pointers.reserve(merged.size());
-  for (const auto& record : merged) {
-    pointers.push_back(&record);
-  }
-  std::ofstream os{tmp_path, std::ios::binary | std::ios::trunc};
-  if (!os) {
-    throw StoreFormatError{"cannot open compacted store file for writing: " + tmp_path};
-  }
-  write_base_segment(os, snapshot.num_vars, snapshot.num_classes, pointers);
-  os.flush();
-  if (!os) {
-    std::remove(tmp_path.c_str());
-    throw StoreFormatError{"compacted store file write failed: " + tmp_path};
-  }
-}
-
-void ClassStore::adopt_compacted(const std::string& path, const std::string& tmp_path,
-                                 const CompactionSnapshot& snapshot,
-                                 std::vector<StoreRecord> merged)
-{
-  const auto gate = gate_->acquire();
-  const auto tiers = gate_->pin();
-  if (snapshot.base.get() != tiers->base.get() || snapshot.deltas.size() > tiers->deltas.size()) {
-    throw std::logic_error{"ClassStore::adopt_compacted: snapshot is not from this store state"};
-  }
-  for (std::size_t i = 0; i < snapshot.deltas.size(); ++i) {
-    if (snapshot.deltas[i].get() != tiers->deltas[i].get()) {
-      throw std::logic_error{
-          "ClassStore::adopt_compacted: snapshot delta runs no longer prefix the store"};
-    }
-  }
-
-  // Swap order is crash-safe for concurrent open()s by other processes:
-  // first the new base lands (rename), then the delta log shrinks to the
-  // surviving runs. A crash in between leaves the new base plus a log that
-  // still replays the merged runs — they shadow the base with identical
-  // records, so the store stays consistent.
-  if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
-    std::remove(tmp_path.c_str());
-    throw StoreFormatError{"cannot move compacted store file into place: " + path};
-  }
-
+  const std::lock_guard<std::mutex> serial{*compaction_mutex_};
+  const std::uint64_t start = obs::now_ticks();
+  // Phase 1 (cheap): seal the memtable into the log, so its appends join
+  // the compaction, and pin the sealed tiers. Only the flush enters the gate.
   const std::string dlog = delta_log_path(path);
-  const std::size_t merged_runs = snapshot.deltas.size();
-  const std::uint64_t num_classes = next_class_id_.load(std::memory_order_relaxed);
-  if (merged_runs == tiers->deltas.size()) {
+  CompactionReport report;
+  report.flushed = flush_delta(dlog);
+  const std::shared_ptr<const TierSnapshot> pinned = gate_->pin();
+  report.runs = pinned->deltas.size();
+  for (const auto& run : pinned->deltas) {
+    report.records += run->size();
+  }
+  report.bytes = delta_log_size(dlog);
+  record_phase("flush", start);
+
+  fold_compaction(path, pinned);
+  report.duration_ns = obs::ticks_to_ns(obs::now_ticks() - start);
+  compaction_histogram("total").record_ns(report.duration_ns);
+  return report;
+}
+
+void ClassStore::fold_compaction(const std::string& path,
+                                 const std::shared_ptr<const TierSnapshot>& pinned)
+{
+  // Phase 2 (heavy; no gate held): merge the pinned tiers and write them as
+  // the new base. Segments are immutable, so readers, appends and flushes
+  // carry on. Loaded after the pin, the class count bounds every pinned id.
+  std::uint64_t phase_start = obs::now_ticks();
+  const std::uint64_t num_classes = next_class_id_.load(std::memory_order_acquire);
+  std::vector<StoreRecord> merged = merge_tiers(segments_of(*pinned));
+  phase_start = record_phase("merge", phase_start);
+  replace_file(path, "store file", [&](std::ostream& os) {
+    write_base_segment(os, num_vars_, num_classes, pointers_to(merged));
+  });
+  // A failed remap throws here, before anything is published: the store
+  // keeps serving old base + runs, which the files on disk still agree
+  // with (the log replays the merged runs over identical base records).
+  std::shared_ptr<const Segment> base;
+  if (mmap_backed_) {
+    base = MmapSegment::open(path);
+  } else {
+    base = std::make_shared<MaterializedSegment>(num_vars_, std::move(merged));
+  }
+  phase_start = record_phase("write", phase_start);
+
+  // Phase 3 (cheap; gated): shrink the log to the runs flushed since the
+  // pin and publish. The new base landed first, so a crash in between
+  // leaves a log whose merged runs shadow the base with identical records.
+  const auto gate = gate_->acquire();
+  const auto current = gate_->pin();
+  // compact() serializes compactions; only a reload() could move the tiers.
+  if (current->base != pinned->base || current->deltas.size() < pinned->deltas.size() ||
+      !std::equal(pinned->deltas.begin(), pinned->deltas.end(), current->deltas.begin())) {
+    throw std::logic_error{"ClassStore::compact: the store was re-tiered mid-compaction"};
+  }
+  const auto survivors =
+      current->deltas.begin() + static_cast<std::ptrdiff_t>(pinned->deltas.size());
+  const std::string dlog = delta_log_path(path);
+  if (survivors == current->deltas.end()) {
     std::remove(dlog.c_str());
   } else {
-    // Runs flushed while the merge ran survive: rewrite the log with only
-    // their frames. num_classes bounds every surviving id, so it is a
-    // valid (if conservative) num_classes_after for each frame.
-    write_file_atomically(dlog, "delta log", [&](std::ostream& os) {
-      for (std::size_t run = merged_runs; run < tiers->deltas.size(); ++run) {
-        std::vector<const StoreRecord*> pointers;
-        pointers.reserve(tiers->deltas[run]->size());
-        for (const auto& record : tiers->deltas[run]->records()) {
-          pointers.push_back(&record);
-        }
-        write_delta_frame(os, num_vars_, num_classes, pointers);
+    // The current class count bounds every surviving id, so it is a valid
+    // (if conservative) num_classes_after for each frame.
+    const std::uint64_t now_classes = next_class_id_.load(std::memory_order_relaxed);
+    replace_file(dlog, "delta log", [&](std::ostream& os) {
+      for (auto run = survivors; run != current->deltas.end(); ++run) {
+        write_delta_frame(os, num_vars_, now_classes, pointers_to((*run)->records()));
       }
     });
   }
-
-  // Construct the replacement base BEFORE publishing: if the re-open throws
-  // (transient fd pressure on an mmap-backed store), the published tiers
-  // must keep serving old base + runs — the disk is already consistent
-  // either way, and the compactor will simply retry.
-  auto next = std::make_shared<TierSnapshot>();
-  if (mmap_backed_) {
-    next->base = MmapSegment::open(path);
-  } else {
-    next->base = std::make_shared<MaterializedSegment>(num_vars_, std::move(merged));
-  }
-  next->deltas.assign(tiers->deltas.begin() + static_cast<std::ptrdiff_t>(merged_runs),
-                      tiers->deltas.end());
-  gate_->publish(gate, std::move(next));
+  gate_->publish(gate, std::make_shared<TierSnapshot>(
+                           TierSnapshot{std::move(base), {survivors, current->deltas.end()}}));
   compactions_.fetch_add(1, std::memory_order_relaxed);
+  record_phase("adopt", phase_start);
 }
 
 std::uint64_t ClassStore::delta_log_size(const std::string& dlog_path) noexcept

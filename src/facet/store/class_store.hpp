@@ -51,9 +51,12 @@
 /// Appends accumulate in the memtable until flush_delta() seals them into an
 /// immutable delta run (and, given a path, appends one frame to the
 /// `<index>.fcs.dlog` log — an O(delta) write, unlike the O(index) rewrite
-/// of save()). compact() merges base + deltas + memtable back into a single
-/// fresh base via write-then-rename and clears the log. open() restores the
-/// whole hierarchy: base segment plus every logged delta run.
+/// of save()). compact() folds base + deltas + memtable back into a single
+/// fresh base and clears the log. open() restores the whole hierarchy: base
+/// segment plus every logged delta run. Every file the store writes goes
+/// through file_writer.hpp: a replaced file (base, rewritten log) lands by
+/// write-then-rename, and a failed log append is truncated away before the
+/// memtable it was sealing is touched.
 ///
 /// Class ids are assigned by first occurrence at build time, exactly as the
 /// BatchEngine / sequential classifiers assign them, so classifying a
@@ -80,8 +83,9 @@
 ///     entry in (insert), never across a matcher probe or key derivation.
 ///     The lock order is gate -> memo (append inserts happen under the
 ///     gate); no path takes them the other way around.
-///   * Mutations — lookup_or_classify's live tier, flush_delta, compact,
-///     the adopt_compacted swap — serialize on one small per-store gate.
+///   * Mutations — lookup_or_classify's live tier, flush_delta, and the
+///     flush and swap steps of compact() — serialize on one small per-store
+///     gate.
 ///     Canonicalization (the expensive step) always happens before the
 ///     gate is taken; lookup_or_classify re-probes the index under the
 ///     gate, so two sessions racing on the same novel class agree on one
@@ -92,27 +96,26 @@
 ///
 /// Thread-safe from any mix of threads: lookup(), probe_cache(),
 /// find_canonical(), find_class_id(), lookup_or_classify(),
-/// flush_delta(), the three-phase
-/// compaction API, and the counters (num_records / num_appended /
+/// flush_delta(), compact(), and the counters (num_records / num_appended /
 /// num_delta_segments / num_classes / ...). Readers never enter the
 /// mutation gate: the snapshot pin and the memtable probe each take a
 /// dedicated mutex for a pointer copy / one hash op — never across
 /// canonicalization, segment searches or I/O, so a flush writing its frame
 /// or a compactor mid-merge cannot stall them.
 /// Not synchronized: construction, move,
-/// save()/compact() racing other mutators of the same *file*, and
+/// save() racing compact() or another save() of the same *file* (or another
+/// process writing it), and
 /// records()/base_segment(), whose returned references are only stable
 /// while no compaction swap lands (pin tier_snapshot() to hold an epoch
 /// across concurrent swaps).
 ///
-/// Background compaction (net/server.hpp's compactor thread) splits
-/// compact() into three phases so readers keep serving through the heavy
-/// merge: compaction_snapshot() pins the immutable base + delta runs
-/// (without entering the gate), merge_compaction_snapshot() +
-/// write_compacted() produce the
-/// fresh base with no gate held (the segments are immutable and shared),
-/// and adopt_compacted() swaps the new base in through the gate (cheap) —
-/// runs flushed or records appended while the merge ran survive untouched.
+/// compact() runs in three phases so readers and appenders keep going
+/// through the heavy merge: it seals the memtable into the log (a flush,
+/// gated) and pins the base + delta runs; merges and writes them as the
+/// fresh base with no gate held (the segments are immutable and shared);
+/// then swaps the new base in through the gate (cheap). Runs flushed or
+/// records appended while the merge ran survive untouched. Concurrent
+/// compact() calls on one store run one after the other.
 
 #pragma once
 
@@ -189,18 +192,13 @@ struct TierSnapshot {
   std::vector<std::shared_ptr<const MaterializedSegment>> deltas;
 };
 
-/// The compactable read tiers pinned at one instant: the base segment and
-/// the delta runs sealed so far (the memtable is excluded — flush it first
-/// to fold unflushed appends into the compaction). Segments are immutable
-/// and reference-counted, so the heavy merge/write phase of a background
-/// compaction works off this snapshot with no store gate held while readers
-/// keep serving.
-struct CompactionSnapshot {
-  std::shared_ptr<const Segment> base;
-  std::vector<std::shared_ptr<const MaterializedSegment>> deltas;
-  /// num_classes() at snapshot time — the compacted base's header value.
-  std::uint64_t num_classes = 0;
-  int num_vars = 0;
+/// What one ClassStore::compact() did.
+struct CompactionReport {
+  std::size_t flushed = 0;        ///< memtable records its flush sealed
+  std::size_t runs = 0;           ///< delta runs folded into the new base
+  std::size_t records = 0;        ///< records those runs held
+  std::uint64_t bytes = 0;        ///< delta-log bytes folded away
+  std::uint64_t duration_ns = 0;  ///< flush through swap
 };
 
 /// How ClassStore::open materializes the base segment.
@@ -273,7 +271,8 @@ class ClassStore {
   [[nodiscard]] const std::vector<StoreRecord>& records() const;
 
   /// Every persisted record — base, delta runs and memtable merged (newest
-  /// occurrence of a canonical form wins) — sorted by canonical form.
+  /// occurrence of a canonical form wins, the order lookups shadow in) —
+  /// sorted by canonical form.
   [[nodiscard]] std::vector<StoreRecord> persisted_records() const;
 
   // -- persistence ---------------------------------------------------------
@@ -325,49 +324,30 @@ class ClassStore {
   /// Seals the memtable into an immutable delta segment, appending it as
   /// one frame to `os`. Returns the number of records flushed (0 = no-op).
   /// Serialized through the store gate; readers keep serving throughout.
+  /// The run is published only after the frame is written: a failed write
+  /// throws StoreFormatError with the memtable intact, so a retry flushes
+  /// the same records.
   std::size_t flush_delta(std::ostream& os);
-  /// Same, appending the frame to the delta log at `dlog_path`.
+  /// Same, appending the frame to the delta log at `dlog_path`; a failed
+  /// append is truncated back off the log before the throw.
   std::size_t flush_delta(const std::string& dlog_path);
 
-  /// Merges base + deltas + memtable into a fresh base segment at `path`
-  /// (write-then-rename), removes the delta log, and re-tiers this store on
-  /// the compacted base (remapped when the store is mmap-backed). Holds the
-  /// gate for the whole merge — prefer the three-phase API below when
-  /// readers should keep serving.
-  void compact(const std::string& path);
+  /// Folds the memtable, every delta run and the base into a fresh v3 base
+  /// segment at `path` (write-then-rename; a legacy file is upgraded), and
+  /// re-tiers this store on it (remapped when mmap-backed). Phases (see the
+  /// file comment): flush the memtable to delta_log_path(path) and pin the
+  /// tiers; merge and write with no gate held; under the gate, rewrite the
+  /// delta log to hold only the runs flushed since the pin (removing it when
+  /// none did) and publish. Records each phase in
+  /// `facet_compaction_duration{phase=flush|merge|write|adopt|total}`.
+  /// Readers pinned to the old epoch keep serving it until they drop the
+  /// pin. Throws StoreFormatError when a write fails; the store then keeps
+  /// serving every record it held (its flush may have sealed the memtable
+  /// into a run), and the files on disk still hold the same records.
+  CompactionReport compact(const std::string& path);
 
-  // -- concurrent (three-phase) compaction ---------------------------------
-
-  /// Phase 1 (cheap; does not enter the gate): pins the base and every
-  /// sealed delta run. Flush the memtable first if its appends should be
-  /// part of the compaction.
-  [[nodiscard]] CompactionSnapshot compaction_snapshot() const;
-
-  /// Phase 2a (heavy; runs with no gate held): merges a snapshot's tiers
-  /// into one sorted record vector, newest occurrence of a canonical form
-  /// winning — the same shadowing order lookups use.
-  [[nodiscard]] static std::vector<StoreRecord> merge_compaction_snapshot(
-      const CompactionSnapshot& snapshot);
-
-  /// Phase 2b (heavy; runs with no gate held): writes `merged` as a fresh
-  /// v3 base segment at `tmp_path` (not yet visible at the store's real
-  /// path).
-  static void write_compacted(const std::string& tmp_path, const CompactionSnapshot& snapshot,
-                              const std::vector<StoreRecord>& merged);
-
-  /// Phase 3 (cheap; serialized through the gate): renames `tmp_path` over
-  /// `path`, rewrites the delta log to hold only the runs flushed *after*
-  /// the snapshot (removing it when none survive), drops the merged runs,
-  /// and re-tiers this store on the compacted base (remapped when
-  /// mmap-backed). The snapshot must have been taken from this store and
-  /// still match its delta prefix — throws std::logic_error otherwise.
-  /// Appends and flushes that happened between the phases survive; readers
-  /// pinned to the old epoch keep serving it until they drop the pin.
-  void adopt_compacted(const std::string& path, const std::string& tmp_path,
-                       const CompactionSnapshot& snapshot, std::vector<StoreRecord> merged);
-
-  /// Compactions applied to this store object (compact + adopt_compacted) —
-  /// trigger/telemetry input for the background compactor.
+  /// Compactions applied to this store object — trigger/telemetry input for
+  /// the background compactor.
   [[nodiscard]] std::uint64_t num_compactions() const noexcept
   {
     return compactions_.load(std::memory_order_relaxed);
@@ -445,6 +425,10 @@ class ClassStore {
   }
 
  private:
+  /// Tests drive compact()'s merge-and-swap step on a tier pin of their own
+  /// choosing, so appends can land deterministically mid-compaction.
+  friend class ClassStoreTestAccess;
+
   struct CacheEntry {
     std::uint32_t class_id = 0;
     TruthTable representative;
@@ -483,16 +467,16 @@ class ClassStore {
     explicit Npn4Slots(std::size_t count) : slots(count) {}
   };
 
-  /// A store over an already-opened base segment (load, open, reload).
-  ClassStore(std::shared_ptr<const Segment> base, std::uint64_t num_classes, bool mmap_backed,
+  /// A store over already-opened tiers (load, open).
+  ClassStore(TierSnapshot tiers, std::uint64_t num_classes, bool mmap_backed,
              ClassStoreOptions options);
 
   [[nodiscard]] StoreLookupResult make_result(const StoreRecord& record,
                                               const NpnTransform& query_to_canonical,
                                               LookupSource source) const;
   void check_width(const TruthTable& f, const char* who) const;
-  /// Replaces the published base (construction/open time; not concurrent).
-  void reset_base(std::shared_ptr<const Segment> base);
+  /// Replaces the published tiers (construction time; not concurrent).
+  void reset_tiers(TierSnapshot tiers);
   /// Memtable probe under its mutex; copies the record out.
   [[nodiscard]] std::optional<StoreRecord> memtable_find(const TruthTable& canonical) const;
   /// probe_cache() that also hands back f's norm-table entry at width <= 4,
@@ -526,14 +510,16 @@ class ClassStore {
   /// construction/open time, so an exhaustively-built store answers every
   /// query from the table without ever pinning the gate.
   void npn4_prefill();
-  /// Seals the memtable into `os` + a published delta run. Gate held.
-  std::size_t flush_delta_locked(const std::unique_lock<std::mutex>& gate, std::ostream& os);
-  /// Replays a delta log onto this store (open()); reports the clean
-  /// prefix so open() can repair a torn log.
-  DeltaLogReplay load_deltas(std::istream& is);
   /// The memtable sorted by canonical form, as pointers for the writers.
   /// Gate held (the memtable cannot shrink underneath the pointers).
   [[nodiscard]] std::vector<const StoreRecord*> sorted_memtable() const;
+  /// Publishes the frame just written from `sorted` (sorted_memtable()) as
+  /// a delta run, then clears the memtable. Gate held.
+  std::size_t publish_sealed(const std::unique_lock<std::mutex>& gate,
+                             const std::vector<const StoreRecord*>& sorted);
+  /// compact()'s merge, write and swap phases over the tiers `pinned` holds
+  /// (a pin of this store taken after its last swap).
+  void fold_compaction(const std::string& path, const std::shared_ptr<const TierSnapshot>& pinned);
 
   /// Resolves the per-tier lookup-latency histograms of this store's width
   /// from the global metric registry into lookup_latency_ (construction
@@ -585,6 +571,10 @@ class ClassStore {
   mutable std::unordered_map<TruthTable, StoreRecord, TruthTableHash> miss_records_;
   mutable std::atomic<std::uint64_t> next_class_id_{0};
   std::atomic<std::uint64_t> compactions_{0};
+  /// Held across a whole compact(), so concurrent compactions queue instead
+  /// of racing on the base file. Taken before the gate, never inside it.
+  /// unique_ptr so the store stays movable.
+  std::unique_ptr<std::mutex> compaction_mutex_;
   ShardedLruCache<TruthTable, CacheEntry, TruthTableHash> cache_;
 };
 

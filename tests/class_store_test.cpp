@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
+#include <memory>
 #include <random>
 #include <set>
 #include <sstream>
@@ -24,6 +26,18 @@
 #include "facet/tt/tt_transform.hpp"
 
 namespace facet {
+
+/// Runs compact()'s merge-and-swap step on a tier pin the test chose, so
+/// appends and flushes can land deterministically mid-compaction.
+class ClassStoreTestAccess {
+ public:
+  static void fold_compaction(ClassStore& store, const std::string& path,
+                              const std::shared_ptr<const TierSnapshot>& pinned)
+  {
+    store.fold_compaction(path, pinned);
+  }
+};
+
 namespace {
 
 /// A dataset with deliberately multi-member classes: random base functions
@@ -524,9 +538,9 @@ std::vector<TruthTable> append_novel(ClassStore& store, std::size_t count, std::
   return appended;
 }
 
-/// The three-phase (background) compaction: snapshot -> off-lock merge and
-/// write -> adopt. Appends and flushes that land between the phases — the
-/// live-traffic case — must survive the swap, on disk and in memory.
+/// The three-phase compaction: pin -> off-lock merge and write -> gated
+/// swap. Appends and flushes that land between the pin and the swap — the
+/// live-traffic case — must survive it, on disk and in memory.
 TEST(ClassStore, ThreePhaseCompactionKeepsConcurrentAppends)
 {
   const int n = 4;
@@ -551,8 +565,8 @@ TEST(ClassStore, ThreePhaseCompactionKeepsConcurrentAppends)
     ASSERT_EQ(store.flush_delta(dlog), 2u);
     ASSERT_EQ(store.num_delta_segments(), 2u);
 
-    const CompactionSnapshot snapshot = store.compaction_snapshot();
-    EXPECT_EQ(snapshot.deltas.size(), 2u);
+    const std::shared_ptr<const TierSnapshot> pinned = store.tier_snapshot();
+    EXPECT_EQ(pinned->deltas.size(), 2u);
 
     // ...then traffic lands while the merge "runs": one more sealed run and
     // one unflushed memtable append.
@@ -560,10 +574,7 @@ TEST(ClassStore, ThreePhaseCompactionKeepsConcurrentAppends)
     ASSERT_EQ(store.flush_delta(dlog), 2u);
     const auto fourth = append_novel(store, 1, 0x3f05ULL + (use_mmap ? 4 : 0));
 
-    std::vector<StoreRecord> merged = ClassStore::merge_compaction_snapshot(snapshot);
-    EXPECT_EQ(merged.size(), base_records + first.size() + second.size());
-    ClassStore::write_compacted(path + ".cpt", snapshot, merged);
-    store.adopt_compacted(path, path + ".cpt", snapshot, std::move(merged));
+    ClassStoreTestAccess::fold_compaction(store, path, pinned);
 
     EXPECT_EQ(store.num_compactions(), 1u);
     EXPECT_EQ(store.num_delta_segments(), 1u) << "the post-snapshot run must survive";
@@ -599,15 +610,80 @@ TEST(ClassStore, ThreePhaseCompactionKeepsConcurrentAppends)
   std::remove(dlog.c_str());
 }
 
-TEST(ClassStore, AdoptCompactedRejectsForeignSnapshots)
+TEST(ClassStore, CompactFoldsEveryTierAndClearsTheLog)
 {
-  const int n = 3;
-  ClassStore store = build_class_store(make_npn_workload(n, 6, 1, 0x3f10ULL), {});
-  ClassStore other = build_class_store(make_npn_workload(n, 6, 1, 0x3f11ULL), {});
-  const CompactionSnapshot snapshot = other.compaction_snapshot();
-  std::vector<StoreRecord> merged = ClassStore::merge_compaction_snapshot(snapshot);
-  EXPECT_THROW(store.adopt_compacted("x.fcs", "x.fcs.cpt", snapshot, std::move(merged)),
-               std::logic_error);
+  const int n = 5;
+  const std::string path = ::testing::TempDir() + "compact_report.fcs";
+  const std::string dlog = ClassStore::delta_log_path(path);
+  std::remove(dlog.c_str());
+  build_class_store(make_npn_workload(n, 10, 2, 0x3f20ULL), {}).save(path);
+  ClassStore store = ClassStore::open(path);
+  const std::size_t base_records = store.num_records();
+
+  const auto flushed = append_novel(store, 3, 0x3f21ULL);
+  ASSERT_EQ(store.flush_delta(dlog), 3u);
+  const std::uint64_t logged_bytes = ClassStore::delta_log_size(dlog);
+  const auto pending = append_novel(store, 2, 0x3f22ULL);
+
+  const CompactionReport report = store.compact(path);
+  EXPECT_EQ(report.flushed, pending.size());
+  EXPECT_EQ(report.runs, 2u);
+  EXPECT_EQ(report.records, flushed.size() + pending.size());
+  EXPECT_GT(report.bytes, logged_bytes);
+  EXPECT_EQ(store.num_compactions(), 1u);
+  EXPECT_EQ(store.num_delta_segments(), 0u);
+  EXPECT_EQ(store.num_appended(), 0u);
+  EXPECT_EQ(ClassStore::delta_log_size(dlog), 0u);
+
+  const ClassStore reopened = ClassStore::open(path);
+  EXPECT_EQ(reopened.base_segment().size(), base_records + flushed.size() + pending.size());
+  EXPECT_EQ(reopened.num_classes(), store.num_classes());
+  for (const auto& group : {flushed, pending}) {
+    for (const auto& f : group) {
+      const auto durable = reopened.lookup(f);
+      ASSERT_TRUE(durable.has_value());
+      EXPECT_EQ(durable->class_id, store.lookup(f)->class_id);
+    }
+  }
+  std::remove(path.c_str());
+}
+
+/// A flush whose append fails acknowledges nothing: it throws with the
+/// memtable intact and publishes no run, so a later flush still persists
+/// every appended class.
+TEST(ClassStore, FailedDeltaFlushKeepsTheMemtable)
+{
+  const std::string full_device = "/dev/full";
+  std::error_code ec;
+  if (!std::filesystem::exists(full_device, ec)) {
+    GTEST_SKIP() << "no " << full_device << " on this platform";
+  }
+  const int n = 5;
+  ClassStore store{n};
+  const auto appended = append_novel(store, 3, 0x3f30ULL);
+  ASSERT_EQ(store.num_appended(), 3u);
+
+  EXPECT_THROW((void)store.flush_delta(full_device), StoreFormatError);
+  EXPECT_EQ(store.num_appended(), 3u) << "a failed flush must keep its records";
+  EXPECT_EQ(store.num_delta_segments(), 0u) << "a failed flush must publish no run";
+  for (const auto& f : appended) {
+    EXPECT_TRUE(store.lookup(f).has_value());
+  }
+
+  // The retry writes every record, and a reopen serves them all.
+  const std::string path = ::testing::TempDir() + "failed_flush.fcs";
+  const std::string dlog = ClassStore::delta_log_path(path);
+  std::remove(dlog.c_str());
+  ClassStore{n}.save(path);
+  ASSERT_EQ(store.flush_delta(dlog), 3u);
+  const ClassStore reopened = ClassStore::open(path);
+  for (const auto& f : appended) {
+    const auto durable = reopened.lookup(f);
+    ASSERT_TRUE(durable.has_value());
+    EXPECT_EQ(durable->class_id, store.lookup(f)->class_id);
+  }
+  std::remove(path.c_str());
+  std::remove(dlog.c_str());
 }
 
 TEST(StoreFormat, TransformPackUnpackRoundTrips)

@@ -2,8 +2,8 @@
 /// lookup() / probe_cache() / find_canonical() against stores with live
 /// delta segments and against lazily-validated mmap bases — and, since the
 /// store gained its internal gate (gate.hpp), mutators running
-/// *concurrently* with those readers: appends, flushes, three-phase
-/// compaction swaps, and racing appenders that must agree on one id per
+/// *concurrently* with those readers: appends, flushes, compactions (also
+/// racing each other), and racing appenders that must agree on one id per
 /// class. Runs under the ASan/UBSan and TSan CI jobs, so data races on the
 /// lazy page flags, the sharded cache, the memtable or the snapshot swap
 /// surface as sanitizer failures, and every id mismatch is counted.
@@ -214,8 +214,8 @@ TEST(StoreConcurrency, ReadersAgainstLazyMmapBase)
 
 /// The tentpole contract of the store gate: readers keep resolving known
 /// classes bit-identically while a writer thread appends novel classes,
-/// seals delta runs, and swaps compacted bases through the three-phase API
-/// — with NO external lock anywhere.
+/// seals delta runs, and swaps compacted bases in through compact() — with
+/// NO external lock anywhere.
 TEST(StoreConcurrency, ReadersStayBitIdenticalWhileAWriterAppendsFlushesAndCompacts)
 {
   const int n = 5;
@@ -266,8 +266,8 @@ TEST(StoreConcurrency, ReadersStayBitIdenticalWhileAWriterAppendsFlushesAndCompa
     });
   }
 
-  // The writer: rounds of append -> flush -> three-phase compaction, all
-  // while the readers run. Every call is a plain store method.
+  // The writer: rounds of append -> flush -> compaction, all while the
+  // readers run. Every call is a plain store method.
   std::mt19937_64 writer_rng{0xc0d2ULL};
   std::vector<std::pair<TruthTable, std::uint32_t>> appended;
   for (int round = 0; round < 3; ++round) {
@@ -280,10 +280,7 @@ TEST(StoreConcurrency, ReadersStayBitIdenticalWhileAWriterAppendsFlushesAndCompa
       appended.emplace_back(f, result.class_id);
     }
     ASSERT_GT(store.flush_delta(dlog), 0u);
-    const CompactionSnapshot snapshot = store.compaction_snapshot();
-    std::vector<StoreRecord> merged = ClassStore::merge_compaction_snapshot(snapshot);
-    ClassStore::write_compacted(path + ".cpt", snapshot, merged);
-    store.adopt_compacted(path, path + ".cpt", snapshot, std::move(merged));
+    (void)store.compact(path);
   }
 
   stop_readers.store(true);
@@ -304,6 +301,76 @@ TEST(StoreConcurrency, ReadersStayBitIdenticalWhileAWriterAppendsFlushesAndCompa
     ASSERT_TRUE(durable.has_value());
     EXPECT_EQ(live->class_id, id);
     EXPECT_EQ(durable->class_id, id);
+  }
+  std::remove(path.c_str());
+  std::remove(dlog.c_str());
+}
+
+/// Two threads compact one store at once while a third appends and flushes:
+/// every compaction succeeds, and every appended class keeps its id across a
+/// reopen of whatever base + log the race left behind.
+TEST(StoreConcurrency, RacingCompactionsKeepEveryAppend)
+{
+  const int n = 5;
+  std::mt19937_64 rng{0xc0e0ULL};
+  std::vector<TruthTable> base_funcs;
+  for (int i = 0; i < 20; ++i) {
+    base_funcs.push_back(tt_random(n, rng));
+  }
+  const std::string path = ::testing::TempDir() + "store_concurrency_compact.fcs";
+  const std::string dlog = ClassStore::delta_log_path(path);
+  std::remove(dlog.c_str());
+  build_class_store(base_funcs, {}).save(path);
+  ClassStore store = ClassStore::open(path);
+
+  std::atomic<bool> appending{true};
+  std::vector<std::pair<TruthTable, std::uint32_t>> appended;
+  std::thread appender{[&] {
+    std::mt19937_64 appender_rng{0xc0e1ULL};
+    while (appended.size() < 60) {
+      const TruthTable f = tt_random(n, appender_rng);
+      if (store.lookup(f).has_value()) {
+        continue;
+      }
+      appended.emplace_back(f, store.lookup_or_classify(f, /*append_on_miss=*/true).class_id);
+      if (appended.size() % 3 == 0) {
+        (void)store.flush_delta(dlog);
+      }
+    }
+    appending.store(false);
+  }};
+
+  std::atomic<std::size_t> failures{0};
+  std::vector<std::thread> compactors;
+  for (int t = 0; t < 2; ++t) {
+    compactors.emplace_back([&] {
+      // At least two rounds each, and on until the appender is done.
+      for (int round = 0; round < 2 || appending.load(); ++round) {
+        try {
+          (void)store.compact(path);
+        } catch (const std::exception&) {
+          ++failures;
+        }
+      }
+    });
+  }
+  appender.join();
+  for (auto& compactor : compactors) {
+    compactor.join();
+  }
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_GE(store.num_compactions(), 4u);
+
+  // Appends after the last compaction's flush may still sit in the memtable.
+  (void)store.flush_delta(dlog);
+  const ClassStore reopened = ClassStore::open(path);
+  for (const auto& [f, id] : appended) {
+    const auto durable = reopened.lookup(f);
+    ASSERT_TRUE(durable.has_value());
+    EXPECT_EQ(durable->class_id, id);
+  }
+  for (const auto& f : base_funcs) {
+    EXPECT_EQ(reopened.lookup(f)->class_id, store.lookup(f)->class_id);
   }
   std::remove(path.c_str());
   std::remove(dlog.c_str());
