@@ -13,7 +13,13 @@ MsvGrouper::Key MsvGrouper::key_of(std::vector<std::uint32_t> msv) const
 
 std::uint32_t MsvGrouper::class_of(Key key)
 {
-  return classes_.emplace(std::move(key), static_cast<std::uint32_t>(classes_.size())).first->second;
+  // Look up first: emplace would build (and free) a node for every repeat.
+  if (const auto it = classes_.find(key); it != classes_.end()) {
+    return it->second;
+  }
+  const auto id = static_cast<std::uint32_t>(classes_.size());
+  classes_.emplace(std::move(key), id);
+  return id;
 }
 
 namespace {

@@ -13,7 +13,10 @@
 ///
 /// Runtime is signature computation plus hashing only — linear in the number
 /// of functions with a per-function cost depending only on n, which is the
-/// stable-runtime property of Fig. 5.
+/// stable-runtime property of Fig. 5. Keys are hashed by hash_u32_span, a
+/// four-lane hash whose rounds do not wait on each other (util/hash.hpp).
+/// Class ids do not depend on that hash: each id is the dense index of the
+/// class's first occurrence in input order.
 
 #pragma once
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 #include <span>
 
 #include "facet/sig/cofactor.hpp"
@@ -53,15 +54,6 @@ std::uint32_t* write_u32(std::uint32_t* out, std::span<const std::uint32_t> v)
   return std::copy(v.begin(), v.end(), out);
 }
 
-std::uint32_t* write_u64(std::uint32_t* out, const std::vector<std::uint64_t>& v)
-{
-  for (const auto x : v) {
-    // delta counts fit in 32 bits for n <= 16 (at most C(2^16, 2) < 2^32).
-    *out++ = static_cast<std::uint32_t>(x);
-  }
-  return out;
-}
-
 /// Length of one polarity's raw MSV: it depends on n and the config only.
 /// OCV_ℓ's arity is capped at n, as build_raw_msv caps it.
 [[nodiscard]] std::size_t msv_capacity(int n, const SignatureConfig& config)
@@ -94,13 +86,15 @@ std::uint32_t* write_u64(std::uint32_t* out, const std::vector<std::uint64_t>& v
 
 /// Writes the MSV of one polarity candidate g (PN-invariant by Theorems
 /// 1-4) to out[0, msv_capacity): OCV1 and OCV2 from one fused cofactor
-/// pass, OIV, OSV and OSDV from one sensitivity profile. `not_g` is ~g,
-/// built once by the caller for both polarities. Returns the end of the
-/// written range.
-std::uint32_t* build_raw_msv(const TruthTable& g, const TruthTable& not_g, const SignatureConfig& config,
-                             std::uint32_t* out)
+/// pass, OIV, OSV and OSDV from `profile`, the sensitivity profile of g
+/// (equal to that of ~g, so the caller builds it once for both polarities;
+/// null when the config uses none of the three). `not_g` is ~g, built once
+/// by the caller as well. Returns the end of the written range.
+std::uint32_t* build_raw_msv(const TruthTable& g, const TruthTable& not_g, const SensitivityProfile* profile,
+                             const SignatureConfig& config, std::uint32_t* out)
 {
   const int n = g.num_vars();
+  const std::size_t levels = static_cast<std::size_t>(n) + 1;
   std::uint32_t* ocv1_out = nullptr;
   std::uint32_t* ocv2_out = nullptr;
   if (config.use_ocv1) {
@@ -122,22 +116,23 @@ std::uint32_t* build_raw_msv(const TruthTable& g, const TruthTable& not_g, const
   if (config.use_ocv3) {
     out = write_u32(out, ocv(g, std::min(3, n)));
   }
-
-  if (config.use_oiv || config.use_osv || config.use_osdv) {
-    const SensitivityProfile profile{g};
-    if (config.use_oiv) {
-      std::uint32_t* const oiv_out = out;
-      out = write_u32(out, profile.influences());
-      std::sort(oiv_out, out);
-    }
-    if (config.use_osv) {
-      out = write_u32(out, profile.histogram_within(not_g));  // OSV0
-      out = write_u32(out, profile.histogram_within(g));      // OSV1
-    }
-    if (config.use_osdv) {
-      out = write_u64(out, osdv_within_from_profile(profile, not_g));  // OSDV0
-      out = write_u64(out, osdv_within_from_profile(profile, g));      // OSDV1
-    }
+  if (config.use_oiv) {
+    std::uint32_t* const oiv_out = out;
+    out = write_u32(out, profile->influences());
+    std::sort(oiv_out, out);
+  }
+  if (config.use_osv) {
+    profile->histogram_within_into(not_g, out);  // OSV0
+    out += levels;
+    profile->histogram_within_into(g, out);  // OSV1
+    out += levels;
+  }
+  if (config.use_osdv) {
+    const std::size_t osdv_size = levels * static_cast<std::size_t>(n);
+    osdv_within_into(*profile, not_g, out);  // OSDV0
+    out += osdv_size;
+    osdv_within_into(*profile, g, out);  // OSDV1
+    out += osdv_size;
   }
   if (config.use_owv) {
     out = write_u32(out, owv(g));
@@ -153,12 +148,17 @@ std::vector<std::uint32_t> build_msv(const TruthTable& tt, const SignatureConfig
   const std::uint64_t half = tt.num_bits() / 2;
   const std::size_t size = msv_capacity(tt.num_vars(), config);
   const TruthTable complement = ~tt;
+  std::optional<SensitivityProfile> profile;
+  if (config.use_oiv || config.use_osv || config.use_osdv) {
+    profile.emplace(tt);
+  }
+  const SensitivityProfile* const shared_profile = profile ? &*profile : nullptr;
 
   // Unbalanced: the polarity with fewer 1-minterms.
   const bool negate = ones > half;
   std::vector<std::uint32_t> msv(size);
   [[maybe_unused]] const std::uint32_t* end =
-      build_raw_msv(negate ? complement : tt, negate ? tt : complement, config, msv.data());
+      build_raw_msv(negate ? complement : tt, negate ? tt : complement, shared_profile, config, msv.data());
   assert(end == msv.data() + size);
   if (ones != half) {
     return msv;
@@ -167,7 +167,7 @@ std::vector<std::uint32_t> build_msv(const TruthTable& tt, const SignatureConfig
   // (Theorems 3-4); take the lexicographically smaller MSV of the two
   // polarities so equivalent functions agree on the pairing.
   std::vector<std::uint32_t> negated(size);
-  build_raw_msv(complement, tt, config, negated.data());
+  build_raw_msv(complement, tt, shared_profile, config, negated.data());
   if (negated < msv) {
     msv.swap(negated);
   }

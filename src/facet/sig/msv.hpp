@@ -26,8 +26,13 @@
 ///   the face size 2^(n−ℓ);
 /// * OIV, OSV and OSDV come from one SensitivityProfile: the influences are
 ///   popcount(d_i)/2 of the same difference masks d_i = f ⊕ flip_i(f) that
-///   the profile's bit planes are built from;
-/// * the complement ~f is built once per call and serves both polarities.
+///   the profile's bit planes are built from. OSV0/OSV1 and OSDV0/OSDV1
+///   are written straight into the result buffer (histogram_within_into,
+///   osdv_within_into);
+/// * the complement ~f and the profile (sensitivity is the same for f and
+///   ~f) are built once per call and serve both polarities, so an
+///   unbalanced function at n >= 8 allocates three times: the result, ~f
+///   and the profile planes.
 
 #pragma once
 

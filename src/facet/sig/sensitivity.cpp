@@ -108,7 +108,13 @@ SensitivityHistogram SensitivityProfile::histogram() const
 
 SensitivityHistogram SensitivityProfile::histogram_within(const TruthTable& selector) const
 {
-  SensitivityHistogram hist(static_cast<std::size_t>(num_vars_) + 1, 0);
+  SensitivityHistogram hist(static_cast<std::size_t>(num_vars_) + 1);
+  histogram_within_into(selector, hist.data());
+  return hist;
+}
+
+void SensitivityProfile::histogram_within_into(const TruthTable& selector, std::uint32_t* out) const
+{
   for (int s = 0; s <= num_vars_; ++s) {
     std::uint64_t count = 0;
     for (std::size_t w = 0; w < num_words_; ++w) {
@@ -119,9 +125,8 @@ SensitivityHistogram SensitivityProfile::histogram_within(const TruthTable& sele
       }
       count += static_cast<std::uint64_t>(popcount64(m));
     }
-    hist[static_cast<std::size_t>(s)] = static_cast<std::uint32_t>(count);
+    out[s] = static_cast<std::uint32_t>(count);
   }
-  return hist;
 }
 
 SensitivityHistogram osv(const TruthTable& tt) { return SensitivityProfile{tt}.histogram(); }

@@ -74,6 +74,10 @@ class SensitivityProfile {
   /// word X participates). Used for OSV0/OSV1 with selector ~f / f.
   [[nodiscard]] SensitivityHistogram histogram_within(const TruthTable& selector) const;
 
+  /// Allocation-free variant: writes the n + 1 histogram entries to `out`
+  /// (the MSV kernel writes OSV0/OSV1 straight into the MSV buffer).
+  void histogram_within_into(const TruthTable& selector, std::uint32_t* out) const;
+
  private:
   /// Planes needed to count up to n = kMaxVars.
   static constexpr std::size_t kMaxPlanes = std::bit_width(static_cast<unsigned>(kMaxVars));

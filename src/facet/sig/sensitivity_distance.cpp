@@ -53,6 +53,17 @@ std::span<std::int32_t> walsh_scratch(int n)
   return {scratch.data(), size};
 }
 
+/// Per-thread level-mask scratch of width n, rebuilt only when the width
+/// changes (a width above 7 puts a TruthTable's words on the heap).
+TruthTable& level_mask_scratch(int n)
+{
+  thread_local TruthTable mask{0};
+  if (mask.num_vars() != n) {
+    mask = TruthTable{n};
+  }
+  return mask;
+}
+
 /// Walsh-Krawtchouk pair counter; writes the spectrum of `points` into
 /// `out[0..n-1]`. With S the 0/1 indicator of the set and S^ its Walsh
 /// transform, the ordered pairs at distance j number
@@ -60,7 +71,7 @@ std::span<std::int32_t> walsh_scratch(int n)
 /// unordered ones are that sum over 2^(n+1). Exact in integers up to
 /// n = 16: |S^(w)| <= 2^16 fits int32, and the weight-bucketed squares sum
 /// to 2^n |S| <= 2^32, far inside int64 after the Krawtchouk weights.
-void spectrum_into(const TruthTable& points, std::uint64_t* out)
+void spectrum_into(const TruthTable& points, std::uint32_t* out)
 {
   const int n = points.num_vars();
   for (int j = 0; j < n; ++j) {
@@ -100,7 +111,7 @@ void spectrum_into(const TruthTable& points, std::uint64_t* out)
                         krawtchouk[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)];
     }
     assert(ordered_scaled >= 0 && ordered_scaled % (std::int64_t{2} << n) == 0);
-    out[j - 1] = static_cast<std::uint64_t>(ordered_scaled >> (n + 1));
+    out[j - 1] = static_cast<std::uint32_t>(ordered_scaled >> (n + 1));
   }
 }
 
@@ -108,34 +119,33 @@ void spectrum_into(const TruthTable& points, std::uint64_t* out)
 
 std::vector<std::uint64_t> pair_distance_spectrum(const TruthTable& points)
 {
-  std::vector<std::uint64_t> spectrum(static_cast<std::size_t>(points.num_vars()), 0);
+  std::array<std::uint32_t, kMaxVars> spectrum{};
   spectrum_into(points, spectrum.data());
-  return spectrum;
+  return {spectrum.begin(), spectrum.begin() + points.num_vars()};
 }
 
-SensitivityDistanceVector osdv_from_profile(const SensitivityProfile& profile)
+void osdv_within_into(const SensitivityProfile& profile, const TruthTable& selector, std::uint32_t* out)
 {
   const int n = profile.num_vars();
-  SensitivityDistanceVector v(static_cast<std::size_t>(n + 1) * static_cast<std::size_t>(n), 0);
-  TruthTable mask{n};
+  TruthTable& mask = level_mask_scratch(n);
   for (int s = 0; s <= n; ++s) {
     profile.level_mask_into(mask, s);
-    spectrum_into(mask, v.data() + static_cast<std::size_t>(s) * static_cast<std::size_t>(n));
+    mask &= selector;
+    spectrum_into(mask, out + static_cast<std::size_t>(s) * static_cast<std::size_t>(n));
   }
-  return v;
 }
 
 SensitivityDistanceVector osdv_within_from_profile(const SensitivityProfile& profile, const TruthTable& selector)
 {
   const int n = profile.num_vars();
-  SensitivityDistanceVector v(static_cast<std::size_t>(n + 1) * static_cast<std::size_t>(n), 0);
-  TruthTable mask{n};
-  for (int s = 0; s <= n; ++s) {
-    profile.level_mask_into(mask, s);
-    mask &= selector;
-    spectrum_into(mask, v.data() + static_cast<std::size_t>(s) * static_cast<std::size_t>(n));
-  }
-  return v;
+  std::vector<std::uint32_t> v(static_cast<std::size_t>(n + 1) * static_cast<std::size_t>(n));
+  osdv_within_into(profile, selector, v.data());
+  return {v.begin(), v.end()};
+}
+
+SensitivityDistanceVector osdv_from_profile(const SensitivityProfile& profile)
+{
+  return osdv_within_from_profile(profile, tt_constant(profile.num_vars(), true));
 }
 
 SensitivityDistanceVector osdv(const TruthTable& tt)

@@ -55,6 +55,13 @@ using SensitivityDistanceVector = std::vector<std::uint64_t>;
 [[nodiscard]] SensitivityDistanceVector osdv_within_from_profile(const SensitivityProfile& profile,
                                                                  const TruthTable& selector);
 
+/// Allocation-free variant of osdv_within_from_profile: writes the
+/// (n + 1) * n entries to `out` (the MSV kernel writes OSDV0/OSDV1 straight
+/// into the MSV buffer). Every entry fits 32 bits: a level set of width
+/// n <= 16 has at most C(2^16, 2) < 2^32 pairs. The level mask and the Walsh
+/// buffer are per-thread scratch, grown once to the widest table seen.
+void osdv_within_into(const SensitivityProfile& profile, const TruthTable& selector, std::uint32_t* out);
+
 /// Reference implementation: quadratic loop over all word pairs.
 [[nodiscard]] SensitivityDistanceVector osdv_naive(const TruthTable& tt);
 [[nodiscard]] SensitivityDistanceVector osdv1_naive(const TruthTable& tt);

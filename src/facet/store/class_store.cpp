@@ -493,24 +493,9 @@ std::size_t ClassStore::publish_sealed(const std::unique_lock<std::mutex>& gate,
   return flushed;
 }
 
-// Both flushes write the frame first and publish only once it is written: a
+// The flush writes the frame first and publishes only once it is written: a
 // failed write throws with the memtable intact, so the next flush retries it.
 // Only gate holders mutate the memtable, so reading it needs no memtable lock.
-
-std::size_t ClassStore::flush_delta(std::ostream& os)
-{
-  const auto gate = gate_->acquire();
-  if (memtable_->records.empty()) {
-    return 0;
-  }
-  const std::vector<const StoreRecord*> sorted = sorted_memtable();
-  write_delta_frame(os, num_vars_, next_class_id_.load(std::memory_order_relaxed), sorted);
-  if (!os.flush()) {
-    throw StoreFormatError{"delta frame write failed"};
-  }
-  return publish_sealed(gate, sorted);
-}
-
 std::size_t ClassStore::flush_delta(const std::string& dlog_path)
 {
   const auto gate = gate_->acquire();

@@ -322,14 +322,12 @@ class ClassStore {
   std::size_t reload(const std::string& path);
 
   /// Seals the memtable into an immutable delta segment, appending it as
-  /// one frame to `os`. Returns the number of records flushed (0 = no-op).
-  /// Serialized through the store gate; readers keep serving throughout.
-  /// The run is published only after the frame is written: a failed write
-  /// throws StoreFormatError with the memtable intact, so a retry flushes
-  /// the same records.
-  std::size_t flush_delta(std::ostream& os);
-  /// Same, appending the frame to the delta log at `dlog_path`; a failed
-  /// append is truncated back off the log before the throw.
+  /// one frame to the delta log at `dlog_path`. Returns the number of
+  /// records flushed (0 = no-op, the log is not touched). Serialized through
+  /// the store gate; readers keep serving throughout. The run is published
+  /// only after the frame is written: a failed append is truncated back off
+  /// the log and throws StoreFormatError with the memtable intact, so a
+  /// retry flushes the same records.
   std::size_t flush_delta(const std::string& dlog_path);
 
   /// Folds the memtable, every delta run and the base into a fresh v3 base

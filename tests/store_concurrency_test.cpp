@@ -14,7 +14,6 @@
 #include <cstdio>
 #include <random>
 #include <span>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -109,9 +108,10 @@ std::size_t hammer(const ClassStore& store, const Workload& w, std::size_t num_t
   return mismatches.load();
 }
 
-/// Appends `count` genuinely-new classes, sealing two delta runs along the
-/// way and leaving the tail in the memtable.
-std::vector<TruthTable> grow_deltas(ClassStore& store, std::size_t count, std::uint64_t seed)
+/// Appends `count` genuinely-new classes, sealing two delta runs into the
+/// log at `dlog` along the way and leaving the tail in the memtable.
+std::vector<TruthTable> grow_deltas(ClassStore& store, const std::string& dlog, std::size_t count,
+                                    std::uint64_t seed)
 {
   std::mt19937_64 rng{seed};
   std::vector<TruthTable> appended;
@@ -121,8 +121,7 @@ std::vector<TruthTable> grow_deltas(ClassStore& store, std::size_t count, std::u
       (void)store.lookup_or_classify(f, /*append_on_miss=*/true);
       appended.push_back(f);
       if (appended.size() == count / 3 || appended.size() == (2 * count) / 3) {
-        std::ostringstream frame;
-        (void)store.flush_delta(frame);
+        (void)store.flush_delta(dlog);
       }
     }
   }
@@ -144,7 +143,10 @@ TEST(StoreConcurrency, ReadersAgainstLiveDeltaSegments)
   build_options.store = options;
   ClassStore store = build_class_store(base_funcs, build_options);
 
-  const auto appended = grow_deltas(store, 12, 0xc0c1ULL);
+  const std::string dlog = ::testing::TempDir() + "store_concurrency_live_deltas.dlog";
+  std::remove(dlog.c_str());
+  const auto appended = grow_deltas(store, dlog, 12, 0xc0c1ULL);
+  std::remove(dlog.c_str());
   EXPECT_EQ(store.num_delta_segments(), 2u);
   EXPECT_GT(store.num_appended(), 0u) << "memtable must stay live during the hammer";
 

@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <memory>
 #include <random>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -204,6 +203,8 @@ TEST(StoreMerge, MergeIncludesDeltaSegmentsAndMemtable)
   const auto base_classes = store.num_classes();
 
   // One appended class sealed into a delta, one left in the memtable.
+  const std::string dlog = ::testing::TempDir() + "merge_deltas_and_memtable.dlog";
+  std::remove(dlog.c_str());
   std::vector<TruthTable> novel;
   while (novel.size() < 2) {
     const TruthTable f = tt_random(n, rng);
@@ -211,11 +212,11 @@ TEST(StoreMerge, MergeIncludesDeltaSegmentsAndMemtable)
       (void)store.lookup_or_classify(f, /*append_on_miss=*/true);
       novel.push_back(f);
       if (novel.size() == 1) {
-        std::ostringstream frame;
-        (void)store.flush_delta(frame);
+        (void)store.flush_delta(dlog);
       }
     }
   }
+  std::remove(dlog.c_str());
   ASSERT_EQ(store.num_delta_segments(), 1u);
   ASSERT_EQ(store.num_appended(), 1u);
 

@@ -270,15 +270,22 @@ TEST(StoreSegment, FlushDeltaSealsTheMemtableIntoASegment)
   EXPECT_EQ(store.num_appended(), novel.size());
   EXPECT_EQ(store.num_delta_segments(), 0u);
 
-  std::ostringstream frame;
-  EXPECT_EQ(store.flush_delta(frame), novel.size());
+  const std::string dlog = temp_path("segment_flush_seals.dlog");
+  std::remove(dlog.c_str());
+  EXPECT_EQ(store.flush_delta(dlog), novel.size());
   EXPECT_EQ(store.num_appended(), 0u);
   EXPECT_EQ(store.num_delta_segments(), 1u);
   EXPECT_EQ(store.num_delta_records(), novel.size());
-  // An empty memtable flushes to nothing.
-  std::ostringstream empty;
+  // An empty memtable flushes to nothing: the log neither appears nor grows.
+  const std::string empty = temp_path("segment_flush_empty.dlog");
+  std::remove(empty.c_str());
   EXPECT_EQ(store.flush_delta(empty), 0u);
-  EXPECT_TRUE(empty.str().empty());
+  EXPECT_FALSE(std::ifstream{empty}.good());
+  const std::string frame = read_file(dlog);
+  EXPECT_FALSE(frame.empty());
+  EXPECT_EQ(store.flush_delta(dlog), 0u);
+  EXPECT_EQ(read_file(dlog), frame);
+  std::remove(dlog.c_str());
 
   // Sealed classes keep serving with their ids, now from the delta tier.
   store.clear_hot_cache();
