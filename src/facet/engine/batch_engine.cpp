@@ -1,17 +1,14 @@
 #include "facet/engine/batch_engine.hpp"
 
-#include <algorithm>
-#include <numeric>
-#include <stdexcept>
+#include <cstdint>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "facet/engine/shard.hpp"
 #include "facet/engine/work_queue.hpp"
 #include "facet/npn/exact_canon.hpp"
+#include "facet/npn/exact_classifier.hpp"
 #include "facet/npn/fp_classifier.hpp"
-#include "facet/npn/matcher.hpp"
 #include "facet/npn/npn4_table.hpp"
 #include "facet/npn/semi_canonical.hpp"
 #include "facet/npn/semiclass.hpp"
@@ -21,53 +18,14 @@
 
 namespace facet {
 
-/// Per-shard persistent state: memo caches that survive across classify()
-/// calls. Each shard is processed by exactly one worker per call, and a
-/// function always hashes to the same shard, so no locking is needed.
-struct BatchShardState {
-  /// Image-based kinds: input table -> canonical image. For kHierarchical
-  /// this holds the level-1 (semi-canonical) image.
-  std::unordered_map<TruthTable, TruthTable, TruthTableHash> image_cache;
-  /// kHierarchical level 2: semi-canonical image -> refined image.
-  std::unordered_map<TruthTable, TruthTable, TruthTableHash> refine_cache;
-  /// kExact: input table -> class representative (first member of its NPN
-  /// class ever seen in this shard).
-  std::unordered_map<TruthTable, TruthTable, TruthTableHash> rep_cache;
-  /// kExact: MSV bucket -> representatives, mirrors classify_exact's buckets.
-  std::unordered_map<std::vector<std::uint32_t>, std::vector<TruthTable>, U32VectorHash> exact_buckets;
-
-  /// kExhaustive: every class this shard has canonicalized (semiclass.hpp).
-  /// The image_cache above only helps bit-identical repeats; the memo
-  /// catches equivalent ones. Per shard, so no lock is ever contended.
-  SemiclassMemo semiclass_memo;
-
-  void clear()
-  {
-    image_cache.clear();
-    refine_cache.clear();
-    rep_cache.clear();
-    exact_buckets.clear();
-    semiclass_memo.clear();
-  }
-};
-
 namespace {
 
-/// Shard-local classification output, parallel to ShardPlan::members[s].
-struct LocalResult {
-  std::vector<std::uint32_t> class_of;
-  std::uint32_t num_classes = 0;
-  std::size_t cache_hits = 0;
-  std::size_t cache_misses = 0;
-};
-
-/// Dedup of a shard's functions: uniques in first-occurrence order plus the
-/// unique index of every member. Identical tables are always classified
-/// together by every classifier, so this is the universal intra-call memo.
-/// The uniques point into the classified span, which outlives the Dedup.
+/// The distinct tables of a span in first-occurrence order, plus the
+/// distinct index of every table. The uniques point into the span, which
+/// outlives the Dedup.
 struct Dedup {
   std::vector<const TruthTable*> uniques;
-  std::vector<std::uint32_t> unique_of;  // per member
+  std::vector<std::uint32_t> unique_of;  // per table of the span
 };
 
 struct PointeeHash {
@@ -81,52 +39,77 @@ struct PointeeEqual {
   }
 };
 
-Dedup dedup_members(std::span<const TruthTable> funcs, const std::vector<std::uint32_t>& members)
+Dedup dedup_members(std::span<const TruthTable> funcs)
 {
   Dedup d;
-  d.unique_of.reserve(members.size());
+  d.unique_of.reserve(funcs.size());
   std::unordered_map<const TruthTable*, std::uint32_t, PointeeHash, PointeeEqual> seen;
-  seen.reserve(members.size());
-  for (const auto i : members) {
-    const auto [it, inserted] = seen.emplace(&funcs[i], static_cast<std::uint32_t>(d.uniques.size()));
+  seen.reserve(funcs.size());
+  for (const TruthTable& f : funcs) {
+    const auto [it, inserted] = seen.emplace(&f, static_cast<std::uint32_t>(d.uniques.size()));
     if (inserted) {
-      d.uniques.push_back(&funcs[i]);
+      d.uniques.push_back(&f);
     }
     d.unique_of.push_back(it->second);
   }
   return d;
 }
 
-/// Groups per-unique keys into dense local class ids (first-occurrence
-/// order) and expands them back onto the shard's members.
-template <typename Key, typename Hasher>
-LocalResult group_by_key(const Dedup& d, std::vector<Key> key_of_unique, std::size_t hits,
-                         std::size_t misses)
+/// Runs fn(i) for every i in [0, count) in parallel chunks on `pool`, with
+/// one latency sample per chunk.
+template <typename Fn>
+void for_each_chunked(WorkerPool& pool, obs::LatencyHistogram& latency, std::size_t count, const Fn& fn)
 {
-  LocalResult local;
-  local.cache_hits = hits;
-  local.cache_misses = misses;
-  std::unordered_map<Key, std::uint32_t, Hasher> classes;
-  classes.reserve(key_of_unique.size());
-  std::vector<std::uint32_t> class_of_unique;
-  class_of_unique.reserve(key_of_unique.size());
-  for (auto& key : key_of_unique) {
-    const auto [it, inserted] =
-        classes.emplace(std::move(key), static_cast<std::uint32_t>(classes.size()));
-    class_of_unique.push_back(it->second);
-  }
-  local.num_classes = static_cast<std::uint32_t>(classes.size());
-  local.class_of.reserve(d.unique_of.size());
-  for (const auto u : d.unique_of) {
-    local.class_of.push_back(class_of_unique[u]);
-  }
-  return local;
+  pool.run_chunked(count, [&](std::size_t begin, std::size_t end) {
+    const std::uint64_t t0 = obs::now_ticks();
+    for (std::size_t i = begin; i < end; ++i) {
+      fn(i);
+    }
+    latency.record_ns(obs::ticks_to_ns(obs::now_ticks() - t0));
+  });
 }
 
-/// Exact canonical form of `tt` through the shard's semiclass memo: a
-/// memoized equivalent class answers, else the exact canonicalizer runs
-/// once and the class is memoized.
-TruthTable canonical_via_semiclass(BatchShardState& state, const TruthTable& tt)
+/// The key of every distinct table, `key_of(table)`, computed in parallel.
+template <typename Key, typename KeyOf>
+std::vector<Key> keys_of(WorkerPool& pool, obs::LatencyHistogram& latency,
+                         const std::vector<const TruthTable*>& uniques, const KeyOf& key_of)
+{
+  std::vector<Key> keys(uniques.size());
+  for_each_chunked(pool, latency, keys.size(), [&](std::size_t u) { keys[u] = key_of(*uniques[u]); });
+  return keys;
+}
+
+/// Feeds `keys` to `grouper` in order: the class of key k is the dense id
+/// of its first occurrence.
+template <typename Grouper, typename Key>
+ClassificationResult group_in_order(Grouper& grouper, std::vector<Key> keys)
+{
+  ClassificationResult result;
+  result.class_of.reserve(keys.size());
+  for (auto& key : keys) {
+    result.class_of.push_back(grouper.class_of(std::move(key)));
+  }
+  result.num_classes = grouper.num_classes();
+  return result;
+}
+
+/// The classes of a Dedup's uniques, copied onto every table of its span.
+ClassificationResult expand(const ClassificationResult& of_uniques,
+                            const std::vector<std::uint32_t>& unique_of)
+{
+  ClassificationResult result;
+  result.num_classes = of_uniques.num_classes;
+  result.class_of.reserve(unique_of.size());
+  for (const auto u : unique_of) {
+    result.class_of.push_back(of_uniques.class_of[u]);
+  }
+  return result;
+}
+
+/// Exact canonical form of `tt` through the semiclass memo: a memoized
+/// equivalent class answers, else the exact canonicalizer runs once and
+/// the class is memoized.
+TruthTable canonical_via_semiclass(SemiclassMemo& memo, const TruthTable& tt)
 {
   if (tt.num_vars() <= kNpn4MaxVars) {
     // The exact canonicalizer is a single NPN4 norm-table load at these
@@ -134,144 +117,44 @@ TruthTable canonical_via_semiclass(BatchShardState& state, const TruthTable& tt)
     return exact_npn_canonical(tt);
   }
   const SemiclassKey key = semiclass_key(tt);
-  if (auto hit = state.semiclass_memo.find(tt, key)) {
+  if (auto hit = memo.find(tt, key)) {
     return std::move(hit->canonical);
   }
   TruthTable canon = exact_npn_canonical(tt);
-  state.semiclass_memo.insert(key, canon);
+  memo.insert(key, canon);
   return canon;
 }
 
-/// Looks up `tt` in `cache` or computes-and-stores via `compute`, counting
-/// hits and misses.
-template <typename Value, typename Compute>
-const Value& memoized(std::unordered_map<TruthTable, Value, TruthTableHash>& cache,
-                      const TruthTable& tt, std::size_t& hits, std::size_t& misses,
-                      const Compute& compute)
+/// kExact: classify_exact's buckets and matcher calls, with the buckets run
+/// in parallel. The distinct tables are bucketed by MSV in first-occurrence
+/// order; each bucket matches its members in input order through its own
+/// ExactBucket. The returned key of a distinct table, (bucket << 32 |
+/// representative), is equal for two tables exactly when classify_exact
+/// puts them in one class.
+std::vector<std::uint64_t> exact_keys(WorkerPool& pool, obs::LatencyHistogram& latency,
+                                      const std::vector<const TruthTable*>& uniques,
+                                      const SignatureConfig& config)
 {
-  if (const auto it = cache.find(tt); it != cache.end()) {
-    ++hits;
-    return it->second;
+  FirstOccurrenceGrouper<std::vector<std::uint32_t>, U32VectorHash> buckets;
+  const std::vector<std::uint32_t> bucket_of =
+      group_in_order(buckets, keys_of<std::vector<std::uint32_t>>(
+                                  pool, latency, uniques,
+                                  [&](const TruthTable& tt) { return build_msv(tt, config); }))
+          .class_of;
+
+  std::vector<std::vector<std::uint32_t>> members(buckets.num_classes());  // ascending
+  for (std::uint32_t u = 0; u < uniques.size(); ++u) {
+    members[bucket_of[u]].push_back(u);
   }
-  ++misses;
-  return cache.emplace(tt, compute(tt)).first->second;
-}
 
-LocalResult classify_shard(ClassifierKind kind, const BatchEngineOptions& options,
-                           BatchShardState& state, std::span<const TruthTable> funcs,
-                           const std::vector<std::uint32_t>& members)
-{
-  Dedup d = dedup_members(funcs, members);
-  // Duplicate members never pay canonicalization — the first flavor of hit.
-  std::size_t hits = members.size() - d.uniques.size();
-  std::size_t misses = 0;
-
-  switch (kind) {
-    case ClassifierKind::kExact: {
-      std::vector<TruthTable> rep_of_unique;
-      rep_of_unique.reserve(d.uniques.size());
-      for (const TruthTable* u : d.uniques) {
-        rep_of_unique.push_back(memoized(state.rep_cache, *u, hits, misses, [&](const TruthTable& tt) {
-          auto& reps = state.exact_buckets[build_msv(tt, options.signature)];
-          for (const auto& rep : reps) {
-            if (npn_equivalent(rep, tt)) {
-              return rep;
-            }
-          }
-          reps.push_back(tt);
-          return tt;
-        }));
-      }
-      return group_by_key<TruthTable, TruthTableHash>(d, std::move(rep_of_unique), hits, misses);
+  std::vector<std::uint64_t> keys(uniques.size());
+  for_each_chunked(pool, latency, members.size(), [&](std::size_t b) {
+    ExactBucket reps;
+    for (const std::uint32_t u : members[b]) {
+      keys[u] = (static_cast<std::uint64_t>(b) << 32) | reps.match(*uniques[u]);
     }
-
-    case ClassifierKind::kExhaustive:
-    case ClassifierKind::kSemiCanonical:
-    case ClassifierKind::kCodesign:
-    case ClassifierKind::kHierarchical: {
-      std::vector<TruthTable> image_of_unique;
-      image_of_unique.reserve(d.uniques.size());
-      for (const TruthTable* u : d.uniques) {
-        image_of_unique.push_back(memoized(state.image_cache, *u, hits, misses, [&](const TruthTable& tt) {
-          switch (kind) {
-            case ClassifierKind::kExhaustive:
-              return canonical_via_semiclass(state, tt);
-            case ClassifierKind::kSemiCanonical:
-              return semi_canonical(tt);
-            case ClassifierKind::kCodesign:
-              return codesign_canonical(tt, options.codesign);
-            case ClassifierKind::kHierarchical: {
-              // Same two-level composition as classify_hierarchical: refine
-              // the semi-canonical representative with a budgeted co-designed
-              // pass; the refined image is the class key.
-              const TruthTable semi = semi_canonical(tt);
-              CodesignOptions refine_options;
-              refine_options.budget = options.hierarchical_refine_budget;
-              std::size_t refine_hits = 0;
-              std::size_t refine_misses = 0;
-              return memoized(state.refine_cache, semi, refine_hits, refine_misses,
-                              [&](const TruthTable& s) { return codesign_canonical(s, refine_options); });
-            }
-            default:
-              throw std::logic_error{"unreachable image kind"};
-          }
-        }));
-      }
-      return group_by_key<TruthTable, TruthTableHash>(d, std::move(image_of_unique), hits, misses);
-    }
-
-    case ClassifierKind::kFp:
-    case ClassifierKind::kFpHashed:
-      break;  // never sharded: see classify_fp_kinds
-  }
-  throw std::logic_error{"unsharded ClassifierKind"};
-}
-
-/// The fp kinds: the MSV of every distinct input and its class key are
-/// built exactly once, in parallel chunks, then the keys are grouped in
-/// first-occurrence order by the sequential classifiers' own loop
-/// (MsvGrouper). Grouping distinct inputs in that order gives every
-/// duplicate its first occurrence's id, so the result equals classify_fp /
-/// classify_fp_hashed by construction. No shards and no memo: the counters
-/// count MSVs built (misses) and duplicates (hits). `chunk_latency` gets
-/// one sample per chunk.
-ClassificationResult classify_fp_kinds(std::span<const TruthTable> funcs, MsvKeyKind kind,
-                                       const SignatureConfig& config, WorkerPool& pool,
-                                       obs::LatencyHistogram& chunk_latency, BatchEngineStats* stats)
-{
-  std::vector<std::uint32_t> all(funcs.size());
-  std::iota(all.begin(), all.end(), 0U);
-  const Dedup d = dedup_members(funcs, all);
-
-  MsvGrouper grouper{kind};
-  std::vector<MsvGrouper::Key> keys(d.uniques.size());
-  pool.run_chunked(keys.size(), [&](std::size_t begin, std::size_t end) {
-    const std::uint64_t t0 = obs::now_ticks();
-    for (std::size_t u = begin; u < end; ++u) {
-      keys[u] = grouper.key_of(build_msv(*d.uniques[u], config));
-    }
-    chunk_latency.record_ns(obs::ticks_to_ns(obs::now_ticks() - t0));
   });
-
-  std::vector<std::uint32_t> class_of_unique;
-  class_of_unique.reserve(keys.size());
-  for (auto& k : keys) {
-    class_of_unique.push_back(grouper.class_of(std::move(k)));
-  }
-  ClassificationResult result;
-  result.num_classes = grouper.num_classes();
-  result.class_of.reserve(funcs.size());
-  for (const auto u : d.unique_of) {
-    result.class_of.push_back(class_of_unique[u]);
-  }
-
-  if (stats != nullptr) {
-    *stats = {};
-    stats->threads = pool.num_threads();
-    stats->cache_hits = funcs.size() - d.uniques.size();
-    stats->cache_misses = d.uniques.size();
-  }
-  return result;
+  return keys;
 }
 
 }  // namespace
@@ -324,15 +207,12 @@ std::optional<ClassifierKind> classifier_kind_from_name(std::string_view name)
 }
 
 BatchEngine::BatchEngine(ClassifierKind kind, BatchEngineOptions options)
-    : kind_{kind}, options_{options}, pool_{std::make_unique<WorkerPool>(options.num_threads)}
+    : kind_{kind},
+      options_{options},
+      pool_{std::make_unique<WorkerPool>(options.num_threads)},
+      memo_{std::make_unique<SemiclassMemo>()}
 {
-  num_shards_ = options_.num_shards != 0 ? options_.num_shards : pool_->num_threads() * 8;
-  num_shards_ = std::max<std::size_t>(1, num_shards_);
-  shards_.reserve(num_shards_);
-  for (std::size_t s = 0; s < num_shards_; ++s) {
-    shards_.push_back(std::make_unique<BatchShardState>());
-  }
-  shard_latency_ = &obs::MetricRegistry::global().histogram(
+  chunk_latency_ = &obs::MetricRegistry::global().histogram(
       "facet_batch_shard_classify_latency", obs::label("classifier", classifier_kind_name(kind)));
 }
 
@@ -345,62 +225,71 @@ std::size_t BatchEngine::num_threads() const noexcept
 
 void BatchEngine::clear_cache()
 {
-  for (auto& shard : shards_) {
-    shard->clear();
-  }
+  memo_->clear();
 }
 
 ClassificationResult BatchEngine::classify(std::span<const TruthTable> funcs, BatchEngineStats* stats)
 {
-  if (kind_ == ClassifierKind::kFp || kind_ == ClassifierKind::kFpHashed) {
-    const MsvKeyKind key = kind_ == ClassifierKind::kFp ? MsvKeyKind::kFull : MsvKeyKind::kHash128;
-    return classify_fp_kinds(funcs, key, options_.signature, *pool_, *shard_latency_, stats);
-  }
-  const ShardPlan plan = make_shard_plan(funcs, num_shards_, *pool_);
+  const Dedup d = dedup_members(funcs);
+  WorkerPool& pool = *pool_;
+  obs::LatencyHistogram& latency = *chunk_latency_;
+  // Classes of `tables` keyed by their image under `image`.
+  const auto image_classes = [&](const std::vector<const TruthTable*>& tables, const auto& image) {
+    FirstOccurrenceGrouper<TruthTable, TruthTableHash> grouper;
+    return group_in_order(grouper, keys_of<TruthTable>(pool, latency, tables, image));
+  };
 
-  std::vector<LocalResult> locals(plan.num_shards);
-  pool_->run_indexed(plan.num_shards, [&](std::size_t s) {
-    if (!plan.members[s].empty()) {
-      const std::uint64_t t0 = obs::now_ticks();
-      locals[s] = classify_shard(kind_, options_, *shards_[s], funcs, plan.members[s]);
-      shard_latency_->record_ns(obs::ticks_to_ns(obs::now_ticks() - t0));
+  ClassificationResult of_uniques;
+  switch (kind_) {
+    case ClassifierKind::kExact: {
+      FirstOccurrenceGrouper<std::uint64_t> grouper;
+      of_uniques = group_in_order(grouper, exact_keys(pool, latency, d.uniques, options_.signature));
+      break;
     }
-  });
-
-  // Merge: renumber (shard, local id) pairs into dense global ids by first
-  // occurrence in input order — exactly the order every sequential
-  // classifier assigns, so the merged result matches it bit for bit.
-  constexpr std::uint32_t kUnassigned = 0xffffffffU;
-  ClassificationResult result;
-  result.class_of.resize(funcs.size());
-  std::vector<std::vector<std::uint32_t>> remap(plan.num_shards);
-  for (std::size_t s = 0; s < plan.num_shards; ++s) {
-    remap[s].assign(locals[s].num_classes, kUnassigned);
-  }
-  std::vector<std::size_t> cursor(plan.num_shards, 0);
-  std::uint32_t next_global = 0;
-  for (std::size_t i = 0; i < funcs.size(); ++i) {
-    const auto s = plan.shard_of[i];
-    const auto local_id = locals[s].class_of[cursor[s]++];
-    auto& global_id = remap[s][local_id];
-    if (global_id == kUnassigned) {
-      global_id = next_global++;
+    case ClassifierKind::kExhaustive:
+      of_uniques = image_classes(d.uniques,
+                                 [&](const TruthTable& tt) { return canonical_via_semiclass(*memo_, tt); });
+      break;
+    case ClassifierKind::kFp:
+    case ClassifierKind::kFpHashed: {
+      MsvGrouper grouper{kind_ == ClassifierKind::kFp ? MsvKeyKind::kFull : MsvKeyKind::kHash128};
+      of_uniques = group_in_order(grouper, keys_of<MsvGrouper::Key>(pool, latency, d.uniques,
+                                                                   [&](const TruthTable& tt) {
+                                                                     return grouper.key_of(
+                                                                         build_msv(tt, options_.signature));
+                                                                   }));
+      break;
     }
-    result.class_of[i] = global_id;
+    case ClassifierKind::kSemiCanonical:
+      of_uniques = image_classes(d.uniques, [](const TruthTable& tt) { return semi_canonical(tt); });
+      break;
+    case ClassifierKind::kCodesign:
+      of_uniques = image_classes(
+          d.uniques, [&](const TruthTable& tt) { return codesign_canonical(tt, options_.codesign); });
+      break;
+    case ClassifierKind::kHierarchical: {
+      // classify_hierarchical's two levels: the semi image of every
+      // distinct input, then the budgeted codesign refinement of every
+      // distinct semi image, which is the class key.
+      const std::vector<TruthTable> semi = keys_of<TruthTable>(
+          pool, latency, d.uniques, [](const TruthTable& tt) { return semi_canonical(tt); });
+      const Dedup ds = dedup_members(semi);
+      CodesignOptions refine;
+      refine.budget = options_.hierarchical_refine_budget;
+      of_uniques = expand(
+          image_classes(ds.uniques, [&](const TruthTable& tt) { return codesign_canonical(tt, refine); }),
+          ds.unique_of);
+      break;
+    }
   }
-  result.num_classes = next_global;
 
   if (stats != nullptr) {
     *stats = {};
-    stats->threads = pool_->num_threads();
-    stats->max_shard_size = plan.max_shard_size();
-    for (std::size_t s = 0; s < plan.num_shards; ++s) {
-      stats->shards_used += plan.members[s].empty() ? 0 : 1;
-      stats->cache_hits += locals[s].cache_hits;
-      stats->cache_misses += locals[s].cache_misses;
-    }
+    stats->threads = pool.num_threads();
+    stats->cache_hits = funcs.size() - d.uniques.size();
+    stats->cache_misses = d.uniques.size();
   }
-  return result;
+  return expand(of_uniques, d.unique_of);
 }
 
 ClassificationResult classify_batch(std::span<const TruthTable> funcs, ClassifierKind kind,

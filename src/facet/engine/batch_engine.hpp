@@ -3,35 +3,33 @@
 ///        the library.
 ///
 /// The engine wraps each sequential classifier (exact, exhaustive/Kitty,
-/// fp, fp-hashed, semi-canonical, hierarchical, co-designed) behind one API.
-/// The canonical-form kinds (all but fp / fp-hashed) parallelize
-/// classification in three phases:
+/// fp, fp-hashed, semi-canonical, hierarchical, co-designed) behind one API
+/// and runs every one of them in the same shape:
 ///
-///  1. shard: partition the input by a cheap NPN-invariant key (shard.hpp)
-///     chosen so that no class of the wrapped classifier can straddle two
-///     shards;
-///  2. classify: run the shards concurrently on a worker pool
-///     (work_queue.hpp), with a per-shard memo cache of canonical forms
-///     (class representatives for kExact) so repeated functions — ubiquitous in cut-enumeration workloads — never
-///     pay canonicalization twice, within a call or across calls. The
-///     exact-canonical kind (kExhaustive) also keeps a per-shard
-///     SemiclassMemo (semiclass.hpp), the memo the class store's memo tier
-///     uses, so a new member of a class the shard has canonicalized costs a
-///     matcher probe, not a canonicalization;
-///  3. merge: renumber shard-local class ids into dense global ids by first
-///     occurrence in input order.
+///  1. dedup: the distinct inputs, in first-occurrence order — identical
+///     tables always share a class, so each key is computed once;
+///  2. key: the class key of every distinct input, in parallel chunks on a
+///     worker pool (work_queue.hpp);
+///  3. group: dense ids by first occurrence in input order, through the
+///     sequential classifiers' own grouping loop (FirstOccurrenceGrouper,
+///     classifier.hpp), then copied onto the duplicates.
 ///
-/// Because every wrapped classifier assigns dense ids by first occurrence
-/// and its classes are per-function-key partitions, the merged result is
-/// bit-identical to the sequential classifier's output — same num_classes,
-/// same class_of vector — for any thread or shard count.
+/// The key is the wrapped classifier's own: the MSV key (MsvGrouper) for
+/// fp and fp-hashed; the canonical image for kitty, semi and codesign; for
+/// hier, the codesign refinement of the semi image, computed once per
+/// distinct semi image; for exact, the (MSV bucket, representative) pair of
+/// classify_exact's matcher loop (ExactBucket), with the buckets run in
+/// parallel and each bucket's members matched in input order. Every wrapped
+/// classifier classes a function by its key alone and numbers classes by
+/// first occurrence, so the result is bit-identical to the sequential
+/// classifier's output — same num_classes, same class_of vector — for any
+/// thread count. The batch-engine tests assert it for every kind.
 ///
-/// The fp kinds have no shards and no memo: their work is the MSV alone.
-/// The engine deduplicates the batch, builds the MSV of each distinct input
-/// exactly once in parallel chunks on the worker pool, then assigns ids
-/// with the sequential classifiers' own first-occurrence grouping loop
-/// (MsvGrouper, fp_classifier.hpp), so the result is bit-identical by
-/// construction. The batch-engine tests assert both paths exactly.
+/// kitty canonicalizes inputs wider than the NPN4 table through one
+/// engine-wide SemiclassMemo (semiclass.hpp), the memo the class store's
+/// memo tier uses: a new member of a class already canonicalized costs a
+/// matcher probe, not a canonicalization. The memo is thread-safe and is
+/// the only state the engine keeps across classify() calls.
 
 #pragma once
 
@@ -50,8 +48,8 @@
 
 namespace facet {
 
+class SemiclassMemo;
 class WorkerPool;
-struct BatchShardState;
 
 /// The sequential classifier a BatchEngine wraps.
 enum class ClassifierKind {
@@ -74,9 +72,6 @@ enum class ClassifierKind {
 struct BatchEngineOptions {
   /// Worker threads (including the calling thread); 0 = hardware concurrency.
   std::size_t num_threads = 0;
-  /// Shards to partition into; 0 = 8 per thread (skew headroom). The fp
-  /// kinds do not shard.
-  std::size_t num_shards = 0;
   /// Signature configuration for the fp kinds and exact bucketing.
   SignatureConfig signature = SignatureConfig::all();
   /// Options forwarded to the co-designed canonical form (kCodesign).
@@ -87,16 +82,16 @@ struct BatchEngineOptions {
 
 /// Telemetry of one classify() call.
 struct BatchEngineStats {
-  std::size_t threads = 0;         ///< workers used (incl. calling thread)
-  std::size_t shards_used = 0;     ///< shards with at least one function (0 for fp kinds)
-  std::size_t max_shard_size = 0;  ///< largest shard (skew indicator; 0 for fp kinds)
-  std::size_t cache_hits = 0;      ///< canonicalizations / MSVs skipped (dups + memo)
-  std::size_t cache_misses = 0;    ///< canonicalizations / MSVs actually computed
+  std::size_t threads = 0;  ///< workers used (incl. calling thread)
+  /// Always 0: the engine has no shards. Kept because perfbench's
+  /// library_classify still reports it as engine.max_shard_share.
+  std::size_t max_shard_size = 0;
+  std::size_t cache_hits = 0;    ///< duplicate inputs, answered by their first occurrence
+  std::size_t cache_misses = 0;  ///< distinct inputs, each keyed once
 };
 
 /// Reusable parallel batch classifier. Thread-safe for sequential reuse
-/// (one classify() at a time); the per-shard caches, kept across calls,
-/// make repeated calls on overlapping function sets cheaper than the first.
+/// (one classify() at a time).
 class BatchEngine {
  public:
   explicit BatchEngine(ClassifierKind kind, BatchEngineOptions options = {});
@@ -108,26 +103,25 @@ class BatchEngine {
   [[nodiscard]] ClassifierKind kind() const noexcept { return kind_; }
   [[nodiscard]] const BatchEngineOptions& options() const noexcept { return options_; }
   [[nodiscard]] std::size_t num_threads() const noexcept;
-  [[nodiscard]] std::size_t num_shards() const noexcept { return num_shards_; }
 
   /// Classifies `funcs`; the result is bit-identical to the wrapped
   /// sequential classifier's output on the same span.
   [[nodiscard]] ClassificationResult classify(std::span<const TruthTable> funcs,
                                               BatchEngineStats* stats = nullptr);
 
-  /// Drops all per-shard memo caches.
+  /// Drops the semiclass memo (kitty's only cross-call state).
   void clear_cache();
 
  private:
   ClassifierKind kind_;
   BatchEngineOptions options_;
-  std::size_t num_shards_;
   std::unique_ptr<WorkerPool> pool_;
-  std::vector<std::unique_ptr<BatchShardState>> shards_;
-  /// `facet_batch_shard_classify_latency{classifier=...}` — per-shard
-  /// classify timing (for the fp kinds, per MSV-build chunk), resolved once
-  /// at construction (obs/registry.hpp).
-  obs::LatencyHistogram* shard_latency_ = nullptr;
+  /// kExhaustive: every class canonicalized so far, shared by all workers.
+  std::unique_ptr<SemiclassMemo> memo_;
+  /// `facet_batch_shard_classify_latency{classifier=...}` — one sample per
+  /// parallel chunk of key computation, resolved once at construction
+  /// (obs/registry.hpp).
+  obs::LatencyHistogram* chunk_latency_ = nullptr;
 };
 
 /// One-shot convenience wrapper around a temporary BatchEngine.

@@ -7,7 +7,8 @@
 /// spawns no threads and runs everything inline (the deterministic baseline
 /// the batch-engine tests compare against). Index claiming is a single
 /// atomic fetch-add over a shared job object, so items are load-balanced
-/// dynamically — important because shard sizes are highly skewed.
+/// dynamically — important because item costs are highly skewed (one
+/// exact-classifier bucket can hold many classes, most hold one).
 
 #pragma once
 

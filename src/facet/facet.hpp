@@ -19,7 +19,6 @@
 #include "facet/aig/simulate.hpp"
 #include "facet/data/dataset.hpp"
 #include "facet/engine/batch_engine.hpp"
-#include "facet/engine/shard.hpp"
 #include "facet/engine/work_queue.hpp"
 #include "facet/net/frame.hpp"
 #include "facet/net/reactor.hpp"

@@ -12,6 +12,7 @@
 #include <functional>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "facet/tt/truth_table.hpp"
@@ -34,6 +35,30 @@ struct ClassificationResult {
   }
 };
 
+/// The grouping loop of every classifier: takes class keys in input order
+/// and gives each the dense id of its key's first occurrence. It looks a
+/// key up before inserting it, so a repeated key never builds (and frees) a
+/// map node.
+template <typename Key, typename Hash = std::hash<Key>>
+class FirstOccurrenceGrouper {
+ public:
+  /// Class id of the next function, whose key is `key`.
+  [[nodiscard]] std::uint32_t class_of(Key key)
+  {
+    if (const auto it = classes_.find(key); it != classes_.end()) {
+      return it->second;
+    }
+    const auto id = static_cast<std::uint32_t>(classes_.size());
+    classes_.emplace(std::move(key), id);
+    return id;
+  }
+
+  [[nodiscard]] std::size_t num_classes() const noexcept { return classes_.size(); }
+
+ private:
+  std::unordered_map<Key, std::uint32_t, Hash> classes_;
+};
+
 /// Groups functions by the image of a canonicalization function: two inputs
 /// share a class iff their canonical tables are bit-identical. Since the
 /// canonical table is always an NPN-transform image of the input, such
@@ -44,14 +69,11 @@ struct ClassificationResult {
 {
   ClassificationResult result;
   result.class_of.reserve(funcs.size());
-  std::unordered_map<TruthTable, std::uint32_t, TruthTableHash> classes;
+  FirstOccurrenceGrouper<TruthTable, TruthTableHash> grouper;
   for (const auto& f : funcs) {
-    const TruthTable canon = canonical(f);
-    const auto [it, inserted] = classes.emplace(canon, static_cast<std::uint32_t>(classes.size()));
-    result.class_of.push_back(it->second);
-    (void)inserted;
+    result.class_of.push_back(grouper.class_of(canonical(f)));
   }
-  result.num_classes = classes.size();
+  result.num_classes = grouper.num_classes();
   return result;
 }
 

@@ -1,13 +1,38 @@
 #include "facet/npn/exact_classifier.hpp"
 
 #include <unordered_map>
+#include <utility>
 
 #include "facet/npn/exact_canon.hpp"
-#include "facet/npn/matcher.hpp"
 #include "facet/sig/msv.hpp"
 #include "facet/util/hash.hpp"
 
 namespace facet {
+
+std::size_t ExactBucket::match(const TruthTable& f, ExactClassifyStats* stats)
+{
+  std::optional<NpnMatchKeys> f_keys;
+  for (std::size_t r = 0; r < reps_.size(); ++r) {
+    Rep& rep = reps_[r];
+    if (!rep.keys) {
+      rep.keys = npn_match_keys(rep.table);
+    }
+    if (!f_keys) {
+      f_keys = npn_match_keys(f);
+    }
+    if (stats != nullptr) {
+      ++stats->matcher_calls;
+    }
+    if (npn_match(rep.table, *rep.keys, f, *f_keys).has_value()) {
+      if (stats != nullptr) {
+        ++stats->matcher_hits;
+      }
+      return r;
+    }
+  }
+  reps_.push_back(Rep{f, std::move(f_keys)});
+  return reps_.size() - 1;
+}
 
 ClassificationResult classify_exact(std::span<const TruthTable> funcs, const SignatureConfig& bucket_config,
                                     ExactClassifyStats* stats)
@@ -15,15 +40,9 @@ ClassificationResult classify_exact(std::span<const TruthTable> funcs, const Sig
   ClassificationResult result;
   result.class_of.reserve(funcs.size());
 
-  struct Rep {
-    TruthTable table;
-    NpnMatchKeys keys;  // precomputed once, reused across every probe
-    std::uint32_t class_id;
-  };
   struct Bucket {
-    // Representative table and its class id, one per distinct class that
-    // shares this MSV.
-    std::vector<Rep> reps;
+    ExactBucket reps;
+    std::vector<std::uint32_t> class_ids;  // class id of each representative
   };
   std::unordered_map<std::vector<std::uint32_t>, Bucket, U32VectorHash> buckets;
   // Identical truth tables short-circuit the matcher entirely.
@@ -37,26 +56,11 @@ ClassificationResult classify_exact(std::span<const TruthTable> funcs, const Sig
       continue;
     }
     auto& bucket = buckets[build_msv(f, bucket_config)];
-    std::uint32_t cls = next_class;
-    bool matched = false;
-    const NpnMatchKeys f_keys = npn_match_keys(f);
-    for (const auto& rep : bucket.reps) {
-      if (stats != nullptr) {
-        ++stats->matcher_calls;
-      }
-      if (npn_match(rep.table, rep.keys, f, f_keys).has_value()) {
-        cls = rep.class_id;
-        matched = true;
-        if (stats != nullptr) {
-          ++stats->matcher_hits;
-        }
-        break;
-      }
+    const std::size_t rep = bucket.reps.match(f, stats);
+    if (rep == bucket.class_ids.size()) {
+      bucket.class_ids.push_back(next_class++);
     }
-    if (!matched) {
-      bucket.reps.push_back(Rep{f, f_keys, cls});
-      ++next_class;
-    }
+    const std::uint32_t cls = bucket.class_ids[rep];
     seen.emplace(f, cls);
     result.class_of.push_back(cls);
   }

@@ -18,9 +18,13 @@
 
 #pragma once
 
+#include <cstddef>
+#include <optional>
 #include <span>
+#include <vector>
 
 #include "facet/npn/classifier.hpp"
+#include "facet/npn/matcher.hpp"
 #include "facet/sig/msv.hpp"
 
 namespace facet {
@@ -31,6 +35,25 @@ struct ExactClassifyStats {
   std::size_t buckets = 0;        ///< distinct MSVs seen
   std::size_t matcher_calls = 0;  ///< pairwise complete matches performed
   std::size_t matcher_hits = 0;   ///< matches that confirmed equivalence
+};
+
+/// The class representatives of one MSV bucket of classify_exact, probed
+/// with the complete matcher in the order they joined. classify_exact and
+/// BatchEngine{kExact} run every bucket through it, so both make the same
+/// matcher calls.
+class ExactBucket {
+ public:
+  /// Index of the first representative NPN equivalent to `f`; when none is,
+  /// `f` becomes the next representative and its index is returned. Matcher
+  /// keys are derived at a table's first probe and kept for later ones.
+  [[nodiscard]] std::size_t match(const TruthTable& f, ExactClassifyStats* stats = nullptr);
+
+ private:
+  struct Rep {
+    TruthTable table;
+    std::optional<NpnMatchKeys> keys;
+  };
+  std::vector<Rep> reps_;
 };
 
 /// Exact NPN classification of `funcs` (all with the same variable count).

@@ -11,17 +11,6 @@ MsvGrouper::Key MsvGrouper::key_of(std::vector<std::uint32_t> msv) const
   return Key{{}, lo, hash_u32_span(msv, 0x589965cc75374cc3ULL)};
 }
 
-std::uint32_t MsvGrouper::class_of(Key key)
-{
-  // Look up first: emplace would build (and free) a node for every repeat.
-  if (const auto it = classes_.find(key); it != classes_.end()) {
-    return it->second;
-  }
-  const auto id = static_cast<std::uint32_t>(classes_.size());
-  classes_.emplace(std::move(key), id);
-  return id;
-}
-
 namespace {
 
 ClassificationResult classify_by_msv(std::span<const TruthTable> funcs, const SignatureConfig& config,

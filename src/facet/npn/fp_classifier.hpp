@@ -23,7 +23,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "facet/npn/classifier.hpp"
@@ -50,11 +50,11 @@ namespace facet {
 /// (classify_fp_hashed).
 enum class MsvKeyKind { kFull, kHash128 };
 
-/// The grouping loop of classify_fp and classify_fp_hashed: takes the keys
-/// of MSVs in input order and gives each the dense id of its first
-/// occurrence. key_of() is pure, so BatchEngine builds MSVs and their keys
-/// in parallel and only the grouping runs in order; its fp results equal
-/// the sequential classifiers' by construction.
+/// The class key of classify_fp and classify_fp_hashed, grouped by the
+/// shared first-occurrence loop (FirstOccurrenceGrouper, classifier.hpp).
+/// key_of() is pure, so BatchEngine builds MSVs and their keys in parallel
+/// and only the grouping runs in order; its fp results equal the sequential
+/// classifiers' by construction.
 class MsvGrouper {
  public:
   /// An MSV's class key with its hash computed once. Under kFull it holds
@@ -73,9 +73,9 @@ class MsvGrouper {
   [[nodiscard]] Key key_of(std::vector<std::uint32_t> msv) const;
 
   /// Class id of the next function, whose key is `key`.
-  [[nodiscard]] std::uint32_t class_of(Key key);
+  [[nodiscard]] std::uint32_t class_of(Key key) { return classes_.class_of(std::move(key)); }
 
-  [[nodiscard]] std::size_t num_classes() const noexcept { return classes_.size(); }
+  [[nodiscard]] std::size_t num_classes() const noexcept { return classes_.num_classes(); }
 
  private:
   struct KeyHash {
@@ -86,7 +86,7 @@ class MsvGrouper {
   };
 
   MsvKeyKind kind_;
-  std::unordered_map<Key, std::uint32_t, KeyHash> classes_;
+  FirstOccurrenceGrouper<Key, KeyHash> classes_;
 };
 
 }  // namespace facet

@@ -1,6 +1,7 @@
 #include "facet/npn/hierarchical.hpp"
 
 #include <unordered_map>
+#include <utility>
 
 #include "facet/npn/codesign.hpp"
 #include "facet/npn/semi_canonical.hpp"
@@ -16,24 +17,21 @@ ClassificationResult classify_hierarchical(std::span<const TruthTable> funcs, st
   // NPN-equivalent member of the class, so it doubles as the group
   // representative for the refinement level.
   std::unordered_map<TruthTable, std::uint32_t, TruthTableHash> final_class_of_semi;
-  std::unordered_map<TruthTable, std::uint32_t, TruthTableHash> refined_classes;
+  FirstOccurrenceGrouper<TruthTable, TruthTableHash> refined_classes;
   CodesignOptions refine_options;
   refine_options.budget = refine_budget;
 
   for (const auto& f : funcs) {
-    const TruthTable semi = semi_canonical(f);
+    TruthTable semi = semi_canonical(f);
     auto it = final_class_of_semi.find(semi);
     if (it == final_class_of_semi.end()) {
       // Level 2: refine this new representative only.
-      const TruthTable refined = codesign_canonical(semi, refine_options);
-      const auto [rit, inserted] =
-          refined_classes.emplace(refined, static_cast<std::uint32_t>(refined_classes.size()));
-      (void)inserted;
-      it = final_class_of_semi.emplace(semi, rit->second).first;
+      const std::uint32_t cls = refined_classes.class_of(codesign_canonical(semi, refine_options));
+      it = final_class_of_semi.emplace(std::move(semi), cls).first;
     }
     result.class_of.push_back(it->second);
   }
-  result.num_classes = refined_classes.size();
+  result.num_classes = refined_classes.num_classes();
   return result;
 }
 

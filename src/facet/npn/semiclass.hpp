@@ -27,8 +27,8 @@
 ///
 ///  * SemiclassMemo is the one memo built on the key: canonical forms of
 ///    classes already canonicalized, bucketed by key, probed with the
-///    matcher. The store's memo tier (class_store.hpp) and each batch-engine
-///    shard (batch_engine.hpp) hold an instance.
+///    matcher. The store's memo tier (class_store.hpp) and the batch engine
+///    (batch_engine.hpp) each hold an instance.
 ///
 /// Keys are 64-bit digests; distinct classes may collide. That is harmless by
 /// construction: every memo probe is verified by the complete matcher

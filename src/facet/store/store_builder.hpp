@@ -2,7 +2,7 @@
 /// \brief Builds a ClassStore from a dataset via the parallel BatchEngine.
 ///
 /// Classification runs on BatchEngine{kExhaustive} (exact canonical classes,
-/// dense ids by first occurrence; each shard's SemiclassMemo spares a new
+/// dense ids by first occurrence; the engine's SemiclassMemo spares a new
 /// member of a seen class its canonicalization), then one exact
 /// canonicalization with a witnessing transform per class — fanned out over
 /// the worker pool — produces the store records. The resulting store answers

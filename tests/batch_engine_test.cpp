@@ -1,6 +1,6 @@
 /// Tests for the parallel batch-classification engine: bit-identity with
-/// every sequential classifier, determinism across thread/shard counts,
-/// memo-cache behavior, and degenerate inputs.
+/// every sequential classifier, determinism across thread counts, dedup
+/// counters, and degenerate inputs.
 
 #include "facet/engine/batch_engine.hpp"
 
@@ -134,17 +134,6 @@ TEST(BatchEngine, OneThreadAndManyThreadsAgree)
   }
 }
 
-TEST(BatchEngine, ShardCountDoesNotChangeTheResult)
-{
-  const auto funcs = make_random_dataset(5, 300, 77);
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}, std::size_t{64}}) {
-    BatchEngineOptions options;
-    options.num_threads = 4;
-    options.num_shards = shards;
-    expect_identical(classify_batch(funcs, ClassifierKind::kExact, options), classify_exact(funcs));
-  }
-}
-
 TEST(BatchEngine, EmptyInput)
 {
   for (const auto kind : all_kinds()) {
@@ -154,7 +143,7 @@ TEST(BatchEngine, EmptyInput)
     const auto result = classify_batch({}, kind, options, &stats);
     EXPECT_EQ(result.num_classes, 0u);
     EXPECT_TRUE(result.class_of.empty());
-    EXPECT_EQ(stats.shards_used, 0u);
+    EXPECT_EQ(stats.cache_hits + stats.cache_misses, 0u);
   }
 }
 
@@ -189,19 +178,20 @@ TEST(BatchEngine, DuplicateHeavyInputHitsTheCache)
   EXPECT_EQ(stats.cache_misses, base.size());
   EXPECT_EQ(stats.cache_hits, funcs.size() - base.size());
 
-  // A second call over the same set is fully memoized.
+  // A second call keys the same distinct tables again (no image cache
+  // lives across calls) and gives identical ids.
   BatchEngineStats again;
   expect_identical(engine.classify(funcs, &again), parallel);
-  EXPECT_EQ(again.cache_misses, 0u);
-  EXPECT_EQ(again.cache_hits, funcs.size());
+  EXPECT_EQ(again.cache_misses, base.size());
+  EXPECT_EQ(again.cache_hits, funcs.size() - base.size());
 }
 
 TEST(BatchEngine, MixedWidthExhaustiveBatchMatchesSequential)
 {
   // The cut-enumeration regime: one batch holding widths 3..6, each
   // function next to an NPN image of itself. Widths 5 and 6 run through the
-  // shards' semiclass memos, widths 3 and 4 through the NPN4 table, and the
-  // merged ids must still equal classify_exhaustive's bit for bit.
+  // engine's semiclass memo, widths 3 and 4 through the NPN4 table, and the
+  // ids must still equal classify_exhaustive's bit for bit.
   std::mt19937_64 rng{0x40c7e2ULL};
   std::vector<TruthTable> funcs;
   for (int n = 3; n <= 6; ++n) {
@@ -218,7 +208,7 @@ TEST(BatchEngine, MixedWidthExhaustiveBatchMatchesSequential)
   BatchEngine engine{ClassifierKind::kExhaustive, options};
   const ClassificationResult expected = classify_exhaustive(funcs);
   expect_identical(engine.classify(funcs), expected);
-  // A warm second call answers from the caches and still matches.
+  // A second call, answered from the warm memo, still matches.
   expect_identical(engine.classify(funcs), expected);
 }
 
@@ -281,17 +271,33 @@ TEST(BatchEngine, StatsReportShardsAndThreads)
   const auto funcs = make_random_dataset(6, 500, 11);
   BatchEngineOptions options;
   options.num_threads = 4;
-  options.num_shards = 16;
   BatchEngine engine{ClassifierKind::kSemiCanonical, options};
   EXPECT_EQ(engine.num_threads(), 4u);
-  EXPECT_EQ(engine.num_shards(), 16u);
   BatchEngineStats stats;
   (void)engine.classify(funcs, &stats);
   EXPECT_EQ(stats.threads, 4u);
-  EXPECT_GE(stats.shards_used, 1u);
-  EXPECT_LE(stats.shards_used, 16u);
-  EXPECT_GE(stats.max_shard_size, funcs.size() / 16);
   EXPECT_EQ(stats.cache_hits + stats.cache_misses, funcs.size());
+}
+
+TEST(BatchEngine, ExactKindWithCoarseBucketsMatchesSequential)
+{
+  // OCV1 alone buckets many inequivalent functions together, so the
+  // engine's per-bucket matcher loop must separate several classes inside
+  // one bucket exactly as classify_exact does.
+  CircuitDatasetOptions dataset_options;
+  dataset_options.max_functions = 1500;
+  const auto funcs = make_circuit_dataset(6, dataset_options);
+  ASSERT_FALSE(funcs.empty());
+  ExactClassifyStats exact_stats;
+  const auto sequential = classify_exact(funcs, SignatureConfig::ocv1_only(), &exact_stats);
+  ASSERT_LT(exact_stats.buckets, sequential.num_classes);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    BatchEngineOptions options;
+    options.num_threads = threads;
+    options.signature = SignatureConfig::ocv1_only();
+    expect_identical(classify_batch(funcs, ClassifierKind::kExact, options), sequential);
+  }
 }
 
 }  // namespace
